@@ -3,9 +3,14 @@
 Exit codes form a small contract for CI use:
 
 * 0 -- everything requested passed;
-* 1 -- configuration could not be parsed or validated;
+* 1 -- configuration could not be parsed or validated, including a cutoff
+  radius ``solver.epsilon`` that leaves no lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
-* 3 -- the solver aborted (CFL breach, diverged fixed point).
+* 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
+  an implicit step that still diverged after 10 dt halvings, a broken
+  sup-norm guard) or a run's structural check failed.
+
+Each failure prints a one-line message on stderr, never a traceback.
 
 All outputs are CSV files under ``--out`` (or ``output.dir``): field
 snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
@@ -35,10 +40,10 @@ from .config import (
     solver_config,
 )
 from .diagnostics import OrderingError, check_comparison, check_contraction, check_monotone_series
-from .evolve import SolverAbortError, Trajectory, continuation_in_epsilon, run as run_solver
+from .evolve import CflViolationError, SolverAbortError, Trajectory, continuation_in_epsilon, run as run_solver
 from .kernels import regularize
 from .lattice import Field, sample_profile
-from .operator import build_context
+from .operator import EmptyNeighborhoodError, build_context
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -273,6 +278,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EmptyNeighborhoodError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CflViolationError as exc:
+        print(f"solver aborted: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -499,11 +499,11 @@ def serialize_config(cfg: RunConfig) -> str:
     emit("kernel", cfg.kernel, KernelConfig())
     emit("profile", cfg.profile, ProfileConfig())
     if cfg.profile_b is not None:
-        for f in fields(cfg.profile_b):
-            v = getattr(cfg.profile_b, f.name)
-            if v is None or v == getattr(ProfileConfig(), f.name):
-                continue
-            lines.append(f"profile_b.{f.name} = {_format_value(v)}")
+        before = len(lines)
+        emit("profile_b", cfg.profile_b, ProfileConfig())
+        if len(lines) == before:
+            # An all-default profile_b still has to appear to exist.
+            lines.append(f"profile_b.kind = {_format_value(cfg.profile_b.kind)}")
     emit("solver", cfg.solver, SolverSection())
     emit("diag", cfg.diag, DiagSection())
     emit("validate", cfg.validate, ValidateSection())

@@ -3,11 +3,13 @@
 Two integrators are provided.  Explicit Euler is cheap but restricted by a
 CFL rule ``dt <= theta / (2 M_R)`` (with ``M_R`` the certified row-sum
 bound); under that restriction each step is a convex combination of cell
-values, hence order- and bound-preserving.  Backward Euler solved by plain
-Picard fixed-point iteration is the certifying integrator: the implicit
-step inherits the L^1 contraction, comparison and positivity properties of
-the semigroup exactly (up to the fixed-point tolerance), with no
-time-discretization slack.
+values, hence order- and bound-preserving.  Backward Euler is the
+certifying integrator: the implicit step inherits the L^1 contraction,
+comparison and positivity properties of the semigroup exactly (up to the
+fixed-point tolerance), with no time-discretization slack.  Its nonlinear
+equation is solved by Anderson-accelerated fixed-point iteration, which
+converges without the fixed-point map being a contraction; an attempt that
+diverges anyway is retried with halved dt.
 
 Both integrators conserve mass to roundoff because every operator
 application sums to zero by antisymmetric pairing.
@@ -21,7 +23,6 @@ bare kernel are obtained as limits of regularized ones.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import diagnostics
 from .kernels import JumpKernel, RegularizedKernel, regular_bound_M, regularize
 from .lattice import Field, GridSpec, Profile, norm_lp, sample_profile
-from .operator import OperatorContext, _apply_raw, build_context
+from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
 
 __all__ = [
     "SolverConfig",
@@ -51,17 +52,29 @@ INTEGRATORS = ("explicit_euler", "backward_euler_picard")
 # violated CFL condition or a diverged fixed point, and the run aborts.
 SUP_NORM_SLACK = 1e-10
 
+# Anderson acceleration of the implicit solve: the number of past residual
+# differences mixed into each iterate, the condition number of the
+# least-squares factor above which the oldest of them are dropped, and the
+# growth of the residual over its first value that counts as divergence.
+ANDERSON_MEMORY = 5
+ANDERSON_MAX_COND = 1e10
+DIVERGENCE_FACTOR = 1e3
+
 
 class CflViolationError(ValueError):
     """Explicit step requested with dt above the CFL limit."""
 
 
 class PicardDivergedError(RuntimeError):
-    """Fixed-point iteration failed to reach tolerance."""
+    """Fixed-point iteration failed to reach tolerance.
 
-    def __init__(self, message, residual):
+    ``iterations`` is the number of operator applies the attempt made.
+    """
+
+    def __init__(self, message, residual, iterations):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
 
 
 class SolverAbortError(RuntimeError):
@@ -141,26 +154,79 @@ def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | Non
 
 def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
                          max_iters: int) -> tuple[Field, int]:
-    """Solve ``w = u - dt * L_w w`` by plain fixed-point iteration.
+    """Solve ``w = u - dt * L_w w`` by Anderson-accelerated fixed-point iteration.
 
-    Stops when consecutive iterates differ by at most ``tol`` in L^1.
-    Because the returned iterate is an exact evaluation of the fixed-point
-    map, its mass equals the mass of ``u`` to roundoff regardless of how
-    converged it is.
+    The fixed-point map is ``G(w) = u - dt * L_w w``.  Each iteration makes
+    one evaluation of ``G`` (one operator apply) and then mixes the last
+    ``ANDERSON_MEMORY`` evaluations (type-II Anderson acceleration, Walker &
+    Ni 2011): the next iterate is ``G(w_k) - dG gamma``, where ``gamma``
+    minimises ``||f_k - dF gamma||_2`` over the recent residual differences
+    ``dF`` (residual ``f = G(w) - w``).  Unlike plain Picard iteration this
+    does not need ``G`` to be a contraction, so steps with ``dt * 2 M_R >= 1``
+    converge too.
+
+    Stops when ``||G(w) - w||_1 <= tol`` and returns ``(G(w), k)``, ``k``
+    being the number of operator applies.  Because the returned field is an
+    exact evaluation of ``G``, its mass equals the mass of ``u`` to roundoff
+    however far it is from converged.
+
+    Raises :class:`PicardDivergedError` when the tolerance is not reached in
+    ``max_iters`` iterations, when the residual is not finite or grows
+    ``DIVERGENCE_FACTOR`` times above the first one, or when the kernel
+    evaluates to a non-finite value on an iterate.
     """
     hn = ctx.grid.cell_volume
     uv = u.values
     w = uv
+    d_f: list[np.ndarray] = []
+    d_g: list[np.ndarray] = []
+    f_prev = g_prev = None
+    first = None
     for k in range(1, max_iters + 1):
-        w_next = uv - dt * _apply_raw(ctx, w, w)
-        residual = float(np.abs(w_next - w).sum() * hn)
-        w = w_next
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = uv - dt * _apply_raw(ctx, w, w)
+        except NonFiniteKernelError as exc:
+            raise PicardDivergedError(f"fixed-point iterate {k} left the kernel's domain: {exc}",
+                                      math.inf, k) from exc
+        f = g - w
+        residual = float(np.abs(f).sum() * hn)
         if residual <= tol:
-            return Field(ctx.grid, w), k
+            return Field(ctx.grid, g), k
+        if first is None:
+            first = residual
+        if not math.isfinite(residual) or residual > DIVERGENCE_FACTOR * first:
+            raise PicardDivergedError(
+                f"fixed-point iteration diverged at iteration {k} "
+                f"(residual {residual:.3e}, first {first:.3e})", residual, k)
+        if f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append(g - g_prev)
+            if len(d_f) > ANDERSON_MEMORY:
+                del d_f[0], d_g[0]
+        f_prev, g_prev = f, g
+        w = g - _anderson_correction(d_f, d_g, f)
     raise PicardDivergedError(
         f"fixed point not reached in {max_iters} iterations (last residual {residual:.3e})",
-        residual,
+        residual, max_iters,
     )
+
+
+def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
+    """``dG gamma`` with ``gamma = argmin ||f - dF gamma||_2`` (0 without history).
+
+    The least-squares problem is solved through a QR factorisation of
+    ``dF``; while its ``R`` factor is worse conditioned than
+    ``ANDERSON_MAX_COND`` the oldest columns are dropped from both
+    histories (in place).
+    """
+    while d_f:
+        q, r = np.linalg.qr(np.column_stack(d_f))
+        if np.linalg.cond(r) <= ANDERSON_MAX_COND:
+            gamma = np.linalg.solve(r, q.T @ f)
+            return np.column_stack(d_g) @ gamma
+        del d_f[0], d_g[0]
+    return 0.0
 
 
 def _resolve_dt(ctx: OperatorContext, config: SolverConfig, snapshot_every: float) -> float:
@@ -178,8 +244,10 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     every step: growth beyond roundoff levels aborts the run with the
     partial trajectory attached.
 
-    Implicit steps that fail to contract are retried with halved dt, up to
-    10 halvings, before giving up.
+    Implicit steps whose fixed-point iteration diverges are retried with
+    halved dt, up to 10 halvings, before giving up.  ``picard_iters`` of
+    each snapshot counts the fixed-point iterations of every step since the
+    previous snapshot.
     """
     T = config.end_time
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
@@ -188,14 +256,6 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     max_dt = None
     if explicit:
         max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
-    else:
-        m_bound = regular_bound_M(ctx.regkernel, ctx.bound_R, ctx.grid)
-        if dt_base * 2.0 * m_bound >= 1.0:
-            warnings.warn(
-                f"dt = {dt_base:g} does not guarantee a Picard contraction "
-                f"(dt * 2 M_R = {dt_base * 2 * m_bound:g} >= 1); steps may need halving",
-                stacklevel=2,
-            )
 
     traj = Trajectory(grid=ctx.grid, tail_estimate=ctx.tail_estimate,
                       metadata={"integrator": config.integrator, "dt": dt_base,
@@ -214,15 +274,15 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     t = 0.0
     next_snap = snapshot_every
     step_index = 0
-    iters = 0
+    iters = 0   # fixed-point iterations since the last snapshot
     while t < T * (1.0 - 1e-14):
         dt = min(dt_base, T - t)
         if explicit:
             u_next = step_explicit(ctx, u, dt, max_dt=max_dt,
                                    allow_cfl_violation=config.cfl_override)
-            iters = 0
         else:
-            u_next, iters = _implicit_step_with_retries(ctx, u, dt, config, traj)
+            u_next, k = _implicit_step_with_retries(ctx, u, dt, config, traj)
+            iters += k
         t += dt
         step_index += 1
         traj.dts.append(dt)
@@ -238,6 +298,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         u = u_next
         if t >= next_snap - 0.5 * dt and t < T * (1.0 - 1e-14):
             emit(t, u, iters)
+            iters = 0
             while next_snap <= t + 0.5 * dt:
                 next_snap += snapshot_every
     emit(t, u, iters)
@@ -245,7 +306,11 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
 
 
 def _implicit_step_with_retries(ctx, u, dt, config, traj):
-    """Backward Euler with up to 10 dt-halving retries on divergence."""
+    """Backward Euler with up to 10 dt-halving retries on divergence.
+
+    Returns the new field and the fixed-point iterations spent on it,
+    diverged attempts included.
+    """
     remaining = dt
     halvings = 0
     sub_dt = dt
@@ -257,6 +322,7 @@ def _implicit_step_with_retries(ctx, u, dt, config, traj):
             iters_total += k
             remaining -= min(sub_dt, remaining)
         except PicardDivergedError as exc:
+            iters_total += exc.iterations
             halvings += 1
             if halvings > 10:
                 raise SolverAbortError(

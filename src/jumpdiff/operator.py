@@ -33,6 +33,7 @@ from .lattice import Field, GridSpec, bv_norm, norm_lp, offset_distances
 __all__ = [
     "OperatorContext",
     "NonFiniteKernelError",
+    "EmptyNeighborhoodError",
     "build_context",
     "apply",
     "bilinear_form",
@@ -50,6 +51,10 @@ _INDEX_CACHE_BYTES = 48_000_000
 
 class NonFiniteKernelError(RuntimeError):
     """Kernel evaluation produced a non-finite value for an active pair."""
+
+
+class EmptyNeighborhoodError(ValueError):
+    """The cutoff radius ``epsilon`` leaves no lattice offset to sum over."""
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
     keep[0] = False
     offsets = np.nonzero(keep)[0].astype(np.int64)
     if offsets.size == 0:
-        raise ValueError(
+        raise EmptyNeighborhoodError(
             f"empty neighborhood: epsilon = {eps:g} exceeds the largest torus distance "
             f"{dists.max():g}"
         )
