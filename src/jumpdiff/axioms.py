@@ -21,7 +21,7 @@ import numpy as np
 
 from . import operator
 from .kernels import JumpKernel, QuadratureDivergenceError, RegularizedKernel, levy_constant, regular_bound_M
-from .lattice import Field, GridSpec, make_grid, offset_distances
+from .lattice import Field, GridSpec, make_grid, neighbor_windows, offset_distances
 
 __all__ = ["AxiomReport", "check_axioms", "check_regular", "replay_violation"]
 
@@ -228,25 +228,16 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
 
 
 def _bare_row_sums(grid: GridSpec, kernel: JumpKernel, v: np.ndarray) -> np.ndarray:
-    """Row sums of the raw kernel over all distinct pairs (no cutoff, no ramp)."""
-    m = grid.cells_per_axis
-    dists = offset_distances(grid)
-    offsets = np.arange(1, grid.n_cells)
-    rows = np.zeros(grid.n_cells)
-    chunk = max(1, 1_000_000 // grid.n_cells)
-    cells = np.arange(grid.n_cells, dtype=np.int64)
-    if grid.dimension == 2:
-        i1, i2 = np.divmod(cells, m)
-    for lo in range(0, offsets.size, chunk):
-        off = offsets[lo:lo + chunk]
-        if grid.dimension == 1:
-            idx = (cells[None, :] - off[:, None]) % m
-        else:
-            o1, o2 = np.divmod(off, m)
-            idx = ((i1[None, :] - o1[:, None]) % m) * m + (i2[None, :] - o2[:, None]) % m
-        vals = np.asarray(kernel.eval(v[None, :], v[idx], dists[off][:, None]), dtype=float)
-        rows += vals.sum(axis=0)
-    return rows * grid.cell_volume
+    """Row sums of the raw kernel over all distinct pairs (no cutoff, no ramp).
+
+    Both orientations of every pair are evaluated, so kernels that break the
+    symmetry A2 show up in the row sums.
+    """
+    vp = operator._plane(grid, v)
+    v_nb = neighbor_windows(vp)
+    rows = sum(np.asarray(kernel.eval(vp, v_nb[b.row, b.cols], b.r), dtype=float).sum(axis=0)
+               for b in operator._offset_batches(grid, np.arange(grid.n_cells) > 0, half=False))
+    return rows.ravel() * grid.cell_volume
 
 
 def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_000, seed: int = 0) -> list[AxiomReport]:
@@ -296,14 +287,8 @@ def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_00
 
     # B2: finite-difference estimate of the Lipschitz constant L_R of the
     # row sums with respect to the field argument.
-    dists = offset_distances(grid)
-    if isinstance(regkernel, RegularizedKernel):
-        keep = dists >= regkernel.epsilon
-        keep[0] = False
-    else:
-        keep = np.ones_like(dists, dtype=bool)
-        keep[0] = False
-    offsets = np.nonzero(keep)[0]
+    keep = offset_distances(grid) >= (regkernel.epsilon if isinstance(regkernel, RegularizedKernel) else 0.0)
+    keep[0] = False
     l_hat = 0.0
     nonfinite = False
     for _ in range(n_fields):
@@ -311,7 +296,7 @@ def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_00
         g = rng_b2.uniform(-1.0, 1.0, size=grid.n_cells)
         for delta in (1e-2, 1e-4):
             w = np.clip(u + delta * g, -R, R)
-            du = _row_sum_difference(grid, eval_pairs, u, w, offsets, dists)
+            du = _row_sum_difference(grid, eval_pairs, u, w, keep)
             if not math.isfinite(du):
                 nonfinite = True
                 continue
@@ -327,24 +312,14 @@ def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_00
     return reports
 
 
-def _row_sum_difference(grid, eval_pairs, u, w, offsets, dists) -> float:
-    """sup_x sum_j |m(u_x,u_j) - m(w_x,w_j)| h^N, chunked over offsets."""
-    m = grid.cells_per_axis
-    cells = np.arange(grid.n_cells, dtype=np.int64)
-    if grid.dimension == 2:
-        i1, i2 = np.divmod(cells, m)
-    rows = np.zeros(grid.n_cells)
-    chunk = max(1, 1_000_000 // grid.n_cells)
-    for lo in range(0, offsets.size, chunk):
-        off = offsets[lo:lo + chunk]
-        if grid.dimension == 1:
-            idx = (cells[None, :] - off[:, None]) % m
-        else:
-            o1, o2 = np.divmod(off, m)
-            idx = ((i1[None, :] - o1[:, None]) % m) * m + (i2[None, :] - o2[:, None]) % m
-        dcol = dists[off][:, None]
-        mu = np.asarray(eval_pairs(u[None, :], u[idx], dcol), dtype=float)
-        mw = np.asarray(eval_pairs(w[None, :], w[idx], dcol), dtype=float)
+def _row_sum_difference(grid, eval_pairs, u, w, keep) -> float:
+    """sup_x sum_j |m(u_x,u_j) - m(w_x,w_j)| h^N over the offsets where ``keep`` holds."""
+    up, wp = operator._plane(grid, u), operator._plane(grid, w)
+    u_nb, w_nb = neighbor_windows(up), neighbor_windows(wp)
+    rows = np.zeros(up.shape)
+    for b in operator._offset_batches(grid, keep, half=False):
+        mu = np.asarray(eval_pairs(up, u_nb[b.row, b.cols], b.r), dtype=float)
+        mw = np.asarray(eval_pairs(wp, w_nb[b.row, b.cols], b.r), dtype=float)
         rows += np.abs(mu - mw).sum(axis=0)
     return float(rows.max()) * grid.cell_volume
 

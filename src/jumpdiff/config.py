@@ -70,7 +70,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class KernelConfig:
     family: str = "fractional_heat"
-    alpha: float | None = 0.5
+    alpha: float = 0.5
     amplitude: float = 1.0
     f: str | None = None            # power_odd | power_abs | table
     m: float | None = None
@@ -332,7 +332,7 @@ def _validate_kernel(kc: KernelConfig, fail) -> None:
         kc.family in ("porous_medium", "convex_diffusion", "p_laplacian", "doubly_nonlinear")
         and kc.mu == "power_law"
     )
-    if needs_alpha and kc.alpha is not None and not (0.0 < kc.alpha < 1.0):
+    if needs_alpha and not (0.0 < kc.alpha < 1.0):
         fail("kernel.alpha", f"kernel.alpha = {kc.alpha} violates the integrability "
              "constraint (A5): power-law order must lie in (0, 1)")
     if kc.mu not in ("power_law", "compact_bump"):
@@ -378,7 +378,7 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
     if kc.family == "zero":
         return make_zero_kernel(dim)
     if kc.family == "fractional_heat":
-        return make_fractional_heat(kc.alpha if kc.alpha is not None else 0.5, kc.amplitude, dim)
+        return make_fractional_heat(kc.alpha, kc.amplitude, dim)
     if kc.family == "variable_order":
         a1 = kc.a1 if kc.a1 is not None else 0.25
         a2 = kc.a2 if kc.a2 is not None else 0.5
@@ -396,7 +396,7 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
         return make_variable_order(psi1, psi2, theta, a1, a2, dim)
 
     if kc.mu == "power_law":
-        mu = power_law_density(kc.alpha if kc.alpha is not None else 0.5, dim, kc.amplitude)
+        mu = power_law_density(kc.alpha, dim, kc.amplitude)
     else:
         mu = compact_bump_density(kc.r0, dim, kc.amplitude)
 

@@ -245,9 +245,9 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     partial trajectory attached.
 
     Implicit steps whose fixed-point iteration diverges are retried with
-    halved dt, up to 10 halvings, before giving up.  ``picard_iters`` of
-    each snapshot counts the fixed-point iterations of every step since the
-    previous snapshot.
+    halved dt, up to 10 halvings deep, before giving up; dt grows back
+    after quick sub-steps.  ``picard_iters`` of each snapshot counts the
+    fixed-point iterations of every step since the previous snapshot.
     """
     T = config.end_time
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
@@ -306,29 +306,32 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
 
 
 def _implicit_step_with_retries(ctx, u, dt, config, traj):
-    """Backward Euler with up to 10 dt-halving retries on divergence.
+    """Backward Euler over ``dt`` in sub-steps, halved on divergence (at most 10 halvings deep).
 
-    Returns the new field and the fixed-point iterations spent on it,
-    diverged attempts included.
+    A sub-step that converged within half the iteration budget doubles the
+    next one, up to ``dt``; after a slower one a doubled attempt tends to
+    spend the whole budget and fail.  Returns the new field and the
+    fixed-point iterations spent on it, diverged attempts included.
     """
     remaining = dt
-    halvings = 0
     sub_dt = dt
     iters_total = 0
     while remaining > 1e-30:
+        step = min(sub_dt, remaining)
         try:
-            u, k = step_backward_picard(ctx, u, min(sub_dt, remaining), config.picard_tol,
-                                        config.picard_max_iters)
-            iters_total += k
-            remaining -= min(sub_dt, remaining)
+            u, k = step_backward_picard(ctx, u, step, config.picard_tol, config.picard_max_iters)
         except PicardDivergedError as exc:
             iters_total += exc.iterations
-            halvings += 1
-            if halvings > 10:
+            sub_dt = step / 2.0
+            if sub_dt < dt / 2**10:
                 raise SolverAbortError(
                     f"implicit step failed after 10 dt halvings (residual {exc.residual:.3e})",
                     traj) from exc
-            sub_dt /= 2.0
+            continue
+        iters_total += k
+        remaining -= step
+        if 2 * k <= config.picard_max_iters:
+            sub_dt = min(2.0 * sub_dt, dt)
     return u, iters_total
 
 

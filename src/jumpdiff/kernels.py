@@ -558,11 +558,12 @@ class RegularizedKernel:
         b = np.asarray(b, dtype=float)
         r = np.asarray(r, dtype=float)
         ramp = smooth_ramp(self.epsilon, np.abs(a - b))
-        gate = np.asarray(ramp) * (r >= self.epsilon)
-        active = gate > 0
+        active = (ramp > 0.0) & (r >= self.epsilon)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             raw = self.base.eval_fn(a, b, r)
-        out = np.where(active, np.asarray(raw) * gate, 0.0)
+        # Zeroed before the product: a non-finite base value at an inactive
+        # pair (say r = 0) must not become NaN; at an active one it is kept.
+        out = np.where(active, raw, 0.0) * ramp
         return out if out.ndim else float(out)
 
     def majorant(self, R: float, r):

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridSpec",
@@ -29,6 +30,7 @@ __all__ = [
     "make_grid",
     "torus_distance",
     "offset_distances",
+    "neighbor_windows",
     "norm_lp",
     "total_variation",
     "bv_norm",
@@ -130,6 +132,19 @@ def offset_distances(grid: GridSpec) -> np.ndarray:
     if grid.dimension == 1:
         return d1.astype(float)
     return np.hypot(d1[:, None], d1[None, :]).ravel()
+
+
+def neighbor_windows(values: np.ndarray, lattice_axes: int | None = None) -> np.ndarray:
+    """Read-only view of every periodic displacement of ``values``.
+
+    The last ``lattice_axes`` axes (default: all) form a periodic lattice of
+    shape ``L``, and ``neighbor_windows(x)[..., o, i] == x[..., (i + o) mod L]``
+    for offsets ``0 <= o <= L``: a strided view of a tiled copy, so a slice of
+    offsets gives the neighbors of all cells without an index array.
+    """
+    n = values.ndim if lattice_axes is None else lattice_axes
+    tiled = np.tile(values, (1,) * (values.ndim - n) + (2,) * n)
+    return sliding_window_view(tiled, values.shape[values.ndim - n:], axis=tuple(range(values.ndim - n, values.ndim)))
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,24 @@ class TestImplicitDivergence:
             assert abs(traj.records[-1].mass - mass(u0)) <= roundoff(self.CTX256, 2)
         assert min(seen) <= dt / 2
 
+    def test_dt_grows_back_after_halving(self, monkeypatch):
+        seen = []
+
+        def diverges_twice(ctx, u, dt, tol, max_iters):
+            seen.append(dt)
+            if len(seen) <= 2:
+                raise evolve.PicardDivergedError("stub divergence", 1.0, 1)
+            return u, 1
+
+        monkeypatch.setattr(evolve, "step_backward_picard", diverges_twice)
+        dt = self.dt_times_2m(2.0)
+        traj = run(self.CTX256, box(self.CTX256), implicit(1, dt=dt))
+        # Diverged at dt and dt/2, then converged at dt/4, dt/2 and dt/4.
+        step = seen[0]
+        assert step == pytest.approx(dt)
+        assert seen == pytest.approx([step, step / 2, step / 4, step / 2, step / 4], rel=1e-12)
+        assert traj.picard_iters[-1] == 5
+
     @pytest.mark.parametrize("factor, cause", [(1e100, type(None)), (1e200, NonFiniteKernelError)])
     def test_runaway_iterate_raises_divergence(self, factor, cause):
         # 1e100: the residual outgrows the first one; 1e200: the kernel overflows.

@@ -92,11 +92,21 @@ class TestApply:
         out = apply(ctx, u, u)
         assert out.values.tolist() == [3.0, -1.0, -1.0, -1.0]
 
-    @pytest.mark.parametrize("dim,m", [(1, 16), (2, 5)])
-    def test_matches_brute_force_oracle(self, dim, m):
+    # Odd and even grids (even ones have self-negative offsets such as M/2),
+    # and cutoffs of several cells, which drop the nearest offsets.
+    @pytest.mark.parametrize("dim,m,eps_cells", [
+        pytest.param(1, 16, 2.0, id="1-16"),
+        pytest.param(2, 5, 2.0, id="2-5"),
+        pytest.param(1, 15, 2.0, id="1-15"),
+        pytest.param(2, 8, 2.0, id="2-8"),
+        pytest.param(1, 32, 3.5, id="1-32-eps3.5h"),
+        pytest.param(2, 12, 3.0, id="2-12-eps3h"),
+    ])
+    def test_matches_brute_force_oracle(self, dim, m, eps_cells):
         g = make_grid(dim, m, 4.0)
         mu = power_law_density(0.5, dim)
-        ctx = build_context(g, regularize(make_porous_medium(power_odd(2.0), mu), min(1.0, 2 * g.spacing)), R=1.0)
+        ctx = build_context(g, regularize(make_porous_medium(power_odd(2.0), mu), min(1.0, eps_cells * g.spacing)),
+                            R=1.0)
         rng = np.random.default_rng(8)
         v = Field(g, rng.uniform(-1, 1, size=g.n_cells))
         u = Field(g, rng.uniform(-1, 1, size=g.n_cells))
@@ -117,15 +127,18 @@ class TestApply:
             assert abs(math.fsum(out.values) * g.cell_volume) <= 1e-13 * max(1.0, scale)
 
     def test_translation_equivariance_bitwise(self):
-        g = make_grid(1, 32, 4.0)
-        ctx = build_context(g, regularize(make_porous_medium(power_odd(2.0), power_law_density(0.5, 1)), g.spacing), R=1.0)
-        rng = np.random.default_rng(10)
-        v = Field(g, rng.uniform(-1, 1, size=g.n_cells))
-        u = Field(g, rng.uniform(-1, 1, size=g.n_cells))
-        out = apply(ctx, v, u)
-        for off in ((1,), (7,), (-3,)):
-            shifted = apply(ctx, shift_field(v, off), shift_field(u, off))
-            assert np.array_equal(shifted.values, shift_field(out, off).values)
+        cases = [(make_grid(1, 32, 4.0), ((1,), (7,), (-3,))),
+                 (make_grid(2, 8, 4.0), ((1, 3), (5, -2), (0, 4)))]
+        for g, shifts in cases:
+            k = make_porous_medium(power_odd(2.0), power_law_density(0.5, g.dimension))
+            ctx = build_context(g, regularize(k, g.spacing), R=1.0)
+            rng = np.random.default_rng(10)
+            v = Field(g, rng.uniform(-1, 1, size=g.n_cells))
+            u = Field(g, rng.uniform(-1, 1, size=g.n_cells))
+            out = apply(ctx, v, u)
+            for off in shifts:
+                shifted = apply(ctx, shift_field(v, off), shift_field(u, off))
+                assert np.array_equal(shifted.values, shift_field(out, off).values)
 
     def test_zero_kernel_gives_zero_field(self):
         g = make_grid(1, 8, 4.0)
