@@ -17,6 +17,9 @@ snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
 one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs and seeds produce byte-identical outputs.
+Snapshots are filled into a row template built once per grid, one string
+operation per file; the bytes are those ``csv.writer`` gives for the same
+rows (``\\r\\n`` line endings).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from . import diagnostics
 from .axioms import check_axioms
 from .config import (
     ConfigError,
+    ProfileConfig,
     RunConfig,
     build_kernel,
     build_profile,
@@ -40,9 +44,16 @@ from .config import (
     solver_config,
 )
 from .diagnostics import OrderingError, check_comparison, check_contraction, check_monotone_series
-from .evolve import CflViolationError, SolverAbortError, Trajectory, continuation_in_epsilon, run as run_solver
+from .evolve import (
+    CflViolationError,
+    SolverAbortError,
+    Trajectory,
+    continuation_in_epsilon,
+    mollify_initial,
+    run as run_solver,
+)
 from .kernels import regularize
-from .lattice import Field, sample_profile
+from .lattice import Field, GridSpec, sample_profile
 from .operator import EmptyNeighborhoodError, build_context
 
 EXIT_OK = 0
@@ -58,7 +69,6 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -66,21 +76,30 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_snapshot(path: Path, field: Field) -> None:
-    grid = field.grid
-    centers = grid.cell_centers()
-    if grid.dimension == 1:
-        header = ("i", "x", "u")
-        rows = ((i, centers[i, 0], field.values[i]) for i in range(grid.n_cells))
-    else:
-        header = ("i", "x", "y", "u")
-        rows = ((i, centers[i, 0], centers[i, 1], field.values[i]) for i in range(grid.n_cells))
-    _write_csv(path, header, rows)
+def _snapshot_template(grid: GridSpec) -> str:
+    """A whole snapshot file of ``grid`` with each ``u`` cell left as ``%.17g``.
+
+    The ``i,x[,y]`` cells are formatted here once per grid, with the same
+    ``_fmt`` and the same ``\\r\\n`` line ending as ``_write_csv``; for a
+    Python float ``'%.17g' % u`` is ``format(u, '.17g')``, so a filled
+    template is the file ``csv.writer`` writes, byte for byte.
+    """
+    header = "i,x,u" if grid.dimension == 1 else "i,x,y,u"
+    centers = grid.cell_centers().tolist()
+    rows = [",".join([str(i), *map(_fmt, xs), "%.17g"]) for i, xs in enumerate(centers)]
+    return "\r\n".join([header, *rows, ""])
+
+
+def _write_snapshot(path: Path, field: Field, template: str) -> None:
+    """Write ``field`` as ``i,x[,y],u`` rows; ``template`` is ``_snapshot_template(field.grid)``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(template % tuple(field.values.tolist()))
 
 
 def _write_trajectory(outdir: Path, tag: str, traj: Trajectory) -> None:
+    template = _snapshot_template(traj.grid)
     for k, field in enumerate(traj.fields):
-        _write_snapshot(outdir / f"{tag}snapshot_{k:06d}.csv", field)
+        _write_snapshot(outdir / f"{tag}snapshot_{k:06d}.csv", field, template)
     _write_csv(
         outdir / f"{tag}diagnostics.csv",
         diagnostics.DiagnosticsRecord.COLUMNS,
@@ -134,18 +153,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_AXIOM
 
 
-def _prepare_run(cfg: RunConfig):
+def _initial_field(pc: ProfileConfig, grid: GridSpec) -> Field:
+    u0 = sample_profile(build_profile(pc, grid), grid)
+    if pc.mollify is not None:
+        u0 = mollify_initial(u0, grid, pc.mollify)
+    return u0
+
+
+def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig):
+    """Operator context, initial fields and solver config for ``profiles``.
+
+    Without ``solver.r`` the cutoff level ``R`` covers every initial field.
+    """
     kernel = build_kernel(cfg)
     sc = solver_config(cfg)
     regk = regularize(kernel, sc.epsilon)
-    u0 = sample_profile(build_profile(cfg.profile, cfg.grid), cfg.grid)
-    if cfg.profile.mollify is not None:
-        from .evolve import mollify_initial
-
-        u0 = mollify_initial(u0, cfg.grid, cfg.profile.mollify)
-    R = cfg.solver.r if cfg.solver.r is not None else max(1.0, float(np.max(np.abs(u0.values))))
+    fields = [_initial_field(pc, cfg.grid) for pc in profiles]
+    R = cfg.solver.r
+    if R is None:
+        R = max([1.0] + [float(np.max(np.abs(f.values))) for f in fields])
     ctx = build_context(cfg.grid, regk, R)
-    return ctx, u0, sc
+    return ctx, fields, sc
 
 
 def _monotone_checks(cfg: RunConfig, traj: Trajectory):
@@ -161,7 +189,7 @@ def _monotone_checks(cfg: RunConfig, traj: Trajectory):
 
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
-    ctx, u0, sc = _prepare_run(cfg)
+    ctx, (u0,), sc = _prepare_run(cfg, cfg.profile)
     try:
         traj = run_solver(ctx, u0, sc)
     except SolverAbortError as exc:
@@ -189,15 +217,7 @@ def cmd_compare(args) -> int:
     if cfg.profile_b is None:
         print("compare needs a profile_b.* section", file=sys.stderr)
         return EXIT_CONFIG
-    kernel = build_kernel(cfg)
-    sc = solver_config(cfg)
-    regk = regularize(kernel, sc.epsilon)
-    u0 = sample_profile(build_profile(cfg.profile, cfg.grid), cfg.grid)
-    v0 = sample_profile(build_profile(cfg.profile_b, cfg.grid), cfg.grid)
-    R = cfg.solver.r
-    if R is None:
-        R = max(1.0, float(np.max(np.abs(u0.values))), float(np.max(np.abs(v0.values))))
-    ctx = build_context(cfg.grid, regk, R)
+    ctx, (u0, v0), sc = _prepare_run(cfg, cfg.profile, cfg.profile_b)
     try:
         traj_u = run_solver(ctx, u0, sc)
         traj_v = run_solver(ctx, v0, sc)
@@ -236,7 +256,7 @@ def cmd_converge(args) -> int:
     cfg, outdir = _load_config(args)
     kernel = build_kernel(cfg)
     sc = solver_config(cfg)
-    u0 = sample_profile(build_profile(cfg.profile, cfg.grid), cfg.grid)
+    u0 = _initial_field(cfg.profile, cfg.grid)
     eps_list = resolve_eps_list(cfg)
     try:
         _, table = continuation_in_epsilon(cfg.grid, kernel, u0, eps_list, sc, R=cfg.solver.r)

@@ -1,6 +1,13 @@
+import csv
+import io
+
+import numpy as np
 import pytest
 
-from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
+from jumpdiff.config import build_kernel, parse_config, resolve_eps_list, solver_config
+from jumpdiff.evolve import continuation_in_epsilon, mollify_initial
+from jumpdiff.lattice import Field, Profile, make_grid, sample_profile
 
 IMPLICIT = """\
 grid.n = 1
@@ -46,3 +53,75 @@ def test_repeated_implicit_runs_are_byte_identical(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+COMPARE = """\
+grid.n = 1
+grid.m = 64
+grid.l = 1.0
+profile.kind = box
+profile.center = 0.5
+profile.width = 0.1
+profile.mollify = 0.2
+profile_b.kind = box
+profile_b.center = 0.55
+profile_b.width = 0.1
+profile_b.mollify = 0.2
+solver.t = 0.002
+solver.snapshot_every = 0.001
+"""
+
+
+def test_compare_mollifies_both_profiles(tmp_path):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(COMPARE, encoding="utf-8")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "compare.csv", newline="") as fh:
+        first = list(csv.DictReader(fh))[0]
+    grid = make_grid(1, 64, 1.0)
+    u0, v0 = (mollify_initial(sample_profile(Profile(kind="box", center=(c,), width=0.1), grid), grid, 0.2)
+              for c in (0.5, 0.55))
+    assert float(first["t"]) == 0.0
+    assert float(first["l1_distance"]) == float(np.abs(u0.values - v0.values).sum() * grid.cell_volume)
+    assert float(first["l1_distance"]) == pytest.approx(0.03554, abs=1e-5)   # raw boxes: 0.09375
+
+
+def test_converge_mollifies_the_profile(tmp_path):
+    text = COMPARE + "solver.eps_list = 2h, h\n"
+    cfg_path = tmp_path / "converge.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "cauchy.csv", newline="") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    cfg = parse_config(text)
+    u0 = mollify_initial(sample_profile(Profile(kind="box", center=(0.5,), width=0.1), cfg.grid), cfg.grid, 0.2)
+    _, table = continuation_in_epsilon(cfg.grid, build_kernel(cfg), u0, resolve_eps_list(cfg), solver_config(cfg))
+    assert rows == [list(row) for row in table]
+
+
+SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, 1e16, -1e16, 1 / 3, -1 / 3, -2.5, 0.1, 1e-300)
+
+
+def reference_snapshot(field):
+    """The snapshot file as ``csv.writer`` writes ``i, x[, y], u`` with 17 significant digits."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("i", "x", "u") if field.grid.dimension == 1 else ("i", "x", "y", "u"))
+    for i, (xs, u) in enumerate(zip(field.grid.cell_centers(), field.values)):
+        writer.writerow([str(i), *(format(float(x), ".17g") for x in xs), format(float(u), ".17g")])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("dimension, cells", [(1, 13), (2, 5)])
+def test_snapshot_matches_csv_writer_and_round_trips(tmp_path, dimension, cells):
+    grid = make_grid(dimension, cells, 1.0)
+    values = np.random.default_rng(7).normal(scale=3.0, size=grid.n_cells)
+    values[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    field = Field(grid, values)
+    path = tmp_path / "snapshot.csv"
+    _write_snapshot(path, field, _snapshot_template(grid))
+    assert path.read_bytes() == reference_snapshot(field)
+    with open(path, newline="") as fh:
+        stored = [float(row["u"]) for row in csv.DictReader(fh)]
+    assert np.array_equal(np.array(stored), field.values)
+    assert [np.signbit(x) for x in stored] == list(np.signbit(field.values))

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jumpdiff import evolve
-from jumpdiff.diagnostics import check_comparison, check_contraction
+from jumpdiff.diagnostics import check_comparison, check_contraction, check_monotone_series
 from jumpdiff.evolve import (
     SUP_NORM_SLACK,
     SolverAbortError,
@@ -13,7 +13,14 @@ from jumpdiff.evolve import (
     run,
     step_backward_picard,
 )
-from jumpdiff.kernels import make_porous_medium, power_law_density, power_odd, regular_bound_M, regularize
+from jumpdiff.kernels import (
+    make_fractional_heat,
+    make_porous_medium,
+    power_law_density,
+    power_odd,
+    regular_bound_M,
+    regularize,
+)
 from jumpdiff.lattice import Field, Profile, make_grid, mass, sample_profile
 from jumpdiff.operator import NonFiniteKernelError, apply, build_context
 
@@ -106,6 +113,51 @@ class TestImplicitStructure:
         coarse, fine = gap(DT), gap(DT / 2)
         assert coarse < 1e-2
         assert 1.8 < coarse / fine < 2.2
+
+
+def explicit_context(kernel, cells=24):
+    grid = make_grid(1, cells, 1.0)
+    return build_context(grid, regularize(kernel, grid.spacing), 1.0)
+
+
+EXPLICIT_CTX = {
+    "fractional_heat": explicit_context(make_fractional_heat(0.5)),
+    "porous_medium": explicit_context(make_porous_medium(power_odd(2.0), power_law_density(0.5, 1))),
+}
+EXPLICIT_STEPS = 8
+
+
+def explicit_run(name, values):
+    """``EXPLICIT_STEPS`` explicit Euler steps at the CFL dt, a snapshot after each."""
+    ctx = EXPLICIT_CTX[name]
+    dt = cfl_dt(ctx, ctx.bound_R, SolverConfig().cfl_theta)
+    config = SolverConfig(integrator="explicit_euler", end_time=EXPLICIT_STEPS * dt, dt=dt, snapshot_every=dt)
+    u0 = Field(ctx.grid, values)
+    return ctx, u0, run(ctx, u0, config)
+
+
+def profiles(low):
+    cells = EXPLICIT_CTX["fractional_heat"].grid.n_cells
+    return st.lists(st.floats(low, 1.0), min_size=cells, max_size=cells)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_CTX))
+class TestExplicitStructure:
+    @given(profiles(-1.0))
+    def test_mass_and_range(self, name, values):
+        ctx, u0, traj = explicit_run(name, values)
+        assert len(traj.fields) == EXPLICIT_STEPS + 1
+        assert max(abs(rec.mass - mass(u0)) for rec in traj.records) <= roundoff(ctx, EXPLICIT_STEPS)
+        lo, hi = float(u0.values.min()), float(u0.values.max())
+        for f in traj.fields:
+            assert f.values.max() <= hi + SUP_NORM_SLACK
+            assert f.values.min() >= lo - SUP_NORM_SLACK
+
+    @given(profiles(0.0))
+    def test_norms_do_not_increase_for_nonnegative_data(self, name, values):
+        ctx, _, traj = explicit_run(name, values)
+        for quantity in ("l1", "linf"):
+            assert check_monotone_series(traj, quantity, roundoff(ctx, EXPLICIT_STEPS)).passed, quantity
 
 
 class TestImplicitDivergence:
