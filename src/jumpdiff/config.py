@@ -59,12 +59,12 @@ KERNEL_FAMILIES = (
 
 
 class ConfigError(ValueError):
-    """All problems found in one parse, each tagged with a line number."""
+    """All problems found in one parse, each tagged with a line number, in a one-line message."""
 
     def __init__(self, problems):
         self.problems = list(problems)
-        lines = "\n".join(f"  line {ln}: {msg}" if ln else f"  {msg}" for ln, msg in self.problems)
-        super().__init__(f"invalid configuration ({len(self.problems)} problem(s)):\n{lines}")
+        listed = "; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.problems)
+        super().__init__(f"invalid configuration ({len(self.problems)} problem(s)): {listed}")
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,9 @@ def parse_config(text: str) -> RunConfig:
     for label, pc in (("profile", profile), ("profile_b", profile_b)):
         if pc is not None and pc.kind not in Profile._KINDS:
             fail(f"{label}.kind", f"{label}.kind: unknown profile kind {pc.kind!r}")
+        if pc is not None and pc.mollify is not None and grid is not None and pc.mollify < grid.spacing:
+            fail(f"{label}.mollify", f"{label}.mollify = {pc.mollify:g} is below the lattice spacing "
+                                     f"grid.l / grid.m = {grid.spacing:g}")
 
     solver = SolverSection(**sections["solver"])
     if solver.integrator not in ("explicit_euler", "backward_euler_picard"):

@@ -19,6 +19,11 @@ density (decoupled form ``F(a, b) * mu(r)``), plus the variable-order family
 ``r^(-N - Psi(|a-b|; r))`` which cannot be decoupled.  Non-negative linear
 combinations stay inside the class (it is a convex cone).
 
+The majorant of a decoupled kernel is ``F(R) * mu(r)`` with a power-law or
+compact-bump density, so its radial moments (``K_R`` and the truncation
+tails) are computed in closed form.  Every other kernel gets adaptive
+quadrature; scipy is imported on its first use, not with this module.
+
 Regularization composes a kernel with a ramp in ``|a - b|`` and a spatial
 cutoff at radius ``epsilon``.  The result is bounded row-wise by
 ``epsilon^-1 K_R`` (condition B1) and Lipschitz in the field arguments (B2),
@@ -33,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .lattice import GridSpec, offset_distances
 
@@ -61,6 +65,7 @@ __all__ = [
     "smooth_ramp",
     "regularize",
     "levy_constant",
+    "majorant_moment",
     "regular_bound_M",
 ]
 
@@ -69,8 +74,12 @@ __all__ = [
 DIAGONAL_REL_TOL = 1e-8
 
 
+# Area of the unit sphere S^(N-1): the radial reduction ``dy = |S| r^(N-1) dr``.
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
+
+
 class QuadratureDivergenceError(ValueError):
-    """Raised when the Levy-constant quadrature fails to converge."""
+    """Raised when a radial integral of a majorant diverges or its quadrature fails to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,30 @@ class LevyDensity:
     def support_radius(self) -> float | None:
         return self.r0 if self.kind == "compact_bump" else None
 
+    def radial_moment(self, lo: float, hi: float, power: float) -> float:
+        """``int_lo^hi r^power mu(r) |S^(N-1)| r^(N-1) dr``, exactly.
+
+        A power law gives ``A |S| (hi^q - lo^q) / q`` with ``q = power - alpha``
+        (``log(hi / lo)`` when ``q = 0``); a compact bump clips ``hi`` at
+        ``r0`` and gives a polynomial moment.  An integral that diverges at
+        ``lo = 0`` or ``hi = inf`` raises :class:`QuadratureDivergenceError`.
+        """
+        if self.kind == "power_law":
+            q = power - self.alpha
+        else:
+            q = power + self.dim
+            hi = min(hi, self.r0)
+        if hi <= lo:
+            return 0.0
+        if (lo == 0.0 and q <= 0.0) or (math.isinf(hi) and q >= 0.0):
+            raise QuadratureDivergenceError(
+                f"radial moment on [{lo}, {hi}] diverges: the {self.kind} integrand behaves like r^{q - 1:g}"
+            )
+        scale = self.amplitude * _SPHERE_AREA[self.dim]
+        if q == 0.0:
+            return scale * math.log(hi / lo)
+        return scale * (hi ** q - lo ** q) / q
+
 
 def power_law_density(alpha: float, dim: int, amplitude: float = 1.0) -> LevyDensity:
     """``mu(r) = C r^(-dim-alpha)``; requires ``alpha`` strictly inside (0, 1).
@@ -248,7 +281,9 @@ class JumpKernel:
     ``eval`` and ``majorant`` are pure, reentrant and fully vectorized over
     broadcastable array arguments; the operator module calls them from hot
     loops.  ``dim`` is the spatial dimension baked into the radial part
-    (``None`` for dimension-free kernels such as the zero kernel).
+    (``None`` for dimension-free kernels such as the zero kernel).  A
+    decoupled kernel sets ``density`` and ``majorant_scale``; its majorant
+    is ``majorant_scale(R) * density(r)``, whose radial moments are exact.
     """
 
     name: str
@@ -257,6 +292,8 @@ class JumpKernel:
     majorant_fn: Callable = field(repr=False)
     params: dict = field(default_factory=dict)
     support_radius: float | None = None
+    density: LevyDensity | None = None
+    majorant_scale: Callable | None = field(default=None, repr=False)
 
     def eval(self, a, b, r):
         return self.eval_fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(r, dtype=float))
@@ -277,6 +314,20 @@ def _difference_quotient(f: ScalarFunction, a, b):
     return np.where(small, f.deriv(a), quot)
 
 
+def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, params: dict) -> JumpKernel:
+    """A kernel ``F(a, b) mu(r)`` whose majorant is ``scale(R) * mu(r)``."""
+    return JumpKernel(
+        name=name,
+        dim=mu.dim,
+        eval_fn=eval_fn,
+        majorant_fn=lambda R, r: scale(R) * mu(r),
+        params=params,
+        support_radius=mu.support_radius,
+        density=mu,
+        majorant_scale=scale,
+    )
+
+
 def make_fractional_heat(alpha: float, amplitude: float = 1.0, dim: int = 1) -> JumpKernel:
     """Constant-in-(a, b) power-law kernel ``C r^(-dim-alpha)``.
 
@@ -290,13 +341,7 @@ def make_fractional_heat(alpha: float, amplitude: float = 1.0, dim: int = 1) -> 
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r))
         return np.broadcast_to(mu(r), shape) if shape else mu(r)
 
-    return JumpKernel(
-        name="fractional_heat",
-        dim=dim,
-        eval_fn=ev,
-        majorant_fn=lambda R, r: mu(r),
-        params={"alpha": float(alpha), "amplitude": float(amplitude)},
-    )
+    return _decoupled("fractional_heat", ev, lambda R: 1.0, mu, {"alpha": float(alpha), "amplitude": float(amplitude)})
 
 
 def _f_sup_deriv(f: ScalarFunction, R: float) -> float:
@@ -321,17 +366,7 @@ def make_porous_medium(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     def ev(a, b, r):
         return _difference_quotient(f, a, b) * mu(r)
 
-    def maj(R, r):
-        return _f_sup_deriv(f, R) * mu(r)
-
-    return JumpKernel(
-        name="porous_medium",
-        dim=mu.dim,
-        eval_fn=ev,
-        majorant_fn=maj,
-        params={"f": f, "mu": mu},
-        support_radius=mu.support_radius,
-    )
+    return _decoupled("porous_medium", ev, lambda R: _f_sup_deriv(f, R), mu, {"f": f, "mu": mu})
 
 
 def make_convex_diffusion(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -342,18 +377,10 @@ def make_convex_diffusion(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     def ev(a, b, r):
         return (f(a) + f(b)) * mu(r)
 
-    def maj(R, r):
-        fsup = float(max(f(np.asarray(R)), f(np.asarray(-R))))
-        return 2.0 * fsup * mu(r)
+    def scale(R):
+        return 2.0 * float(max(f(np.asarray(R)), f(np.asarray(-R))))
 
-    return JumpKernel(
-        name="convex_diffusion",
-        dim=mu.dim,
-        eval_fn=ev,
-        majorant_fn=maj,
-        params={"f": f, "mu": mu},
-        support_radius=mu.support_radius,
-    )
+    return _decoupled("convex_diffusion", ev, scale, mu, {"f": f, "mu": mu})
 
 
 def make_p_laplacian(phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -385,17 +412,7 @@ def make_p_laplacian(phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
             zs = zs[np.abs(zs) > 1e-12]
             return max(float(np.max(np.abs(phi(zs) / zs))), lim0)
 
-    def maj(R, r):
-        return fsup(R) * mu(r)
-
-    return JumpKernel(
-        name="p_laplacian",
-        dim=mu.dim,
-        eval_fn=ev,
-        majorant_fn=maj,
-        params={"phi": phi, "mu": mu},
-        support_radius=mu.support_radius,
-    )
+    return _decoupled("p_laplacian", ev, fsup, mu, {"phi": phi, "mu": mu})
 
 
 def make_doubly_nonlinear(f: ScalarFunction, phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -417,7 +434,7 @@ def make_doubly_nonlinear(f: ScalarFunction, phi: ScalarFunction, mu: LevyDensit
         quot = phi(f(a) - f(b)) / denom
         return np.where(small, lim0 * f.deriv(a), quot) * mu(r)
 
-    def maj(R, r):
+    def scale(R):
         fs = _f_sup_deriv(f, R)
         fmax = float(np.max(np.abs(f(np.array([-R, 0.0, R])))))
         if phi.kind == "phi_power":
@@ -426,16 +443,9 @@ def make_doubly_nonlinear(f: ScalarFunction, phi: ScalarFunction, mu: LevyDensit
             zs = np.linspace(-2.0 * fmax, 2.0 * fmax, 4097)
             zs = zs[np.abs(zs) > 1e-12]
             ratio_sup = max(float(np.max(np.abs(phi(zs) / zs))), lim0) if zs.size else lim0
-        return ratio_sup * fs * mu(r)
+        return ratio_sup * fs
 
-    return JumpKernel(
-        name="doubly_nonlinear",
-        dim=mu.dim,
-        eval_fn=ev,
-        majorant_fn=maj,
-        params={"f": f, "phi": phi, "mu": mu},
-        support_radius=mu.support_radius,
-    )
+    return _decoupled("doubly_nonlinear", ev, scale, mu, {"f": f, "phi": phi, "mu": mu})
 
 
 def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -> JumpKernel:
@@ -581,13 +591,9 @@ def regularize(kernel: JumpKernel, epsilon: float) -> RegularizedKernel:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_factor(dim: int):
-    if dim == 1:
-        return lambda r: 2.0
-    return lambda r: 2.0 * math.pi * r
+def _checked_quad(f, lo, hi) -> float:
+    from scipy import integrate
 
-
-def _checked_quad(f, lo, hi, what: str) -> float:
     if hi <= lo:
         return 0.0
     with warnings.catch_warnings(record=True) as caught:
@@ -596,52 +602,65 @@ def _checked_quad(f, lo, hi, what: str) -> float:
     messages = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
     if messages or not math.isfinite(value) or value < -1e-12:
         raise QuadratureDivergenceError(
-            f"{what} quadrature on [{lo}, {hi}] did not converge"
+            f"majorant moment quadrature on [{lo}, {hi}] did not converge"
             + (f": {messages[0]}" if messages else f" (value {value})")
         )
     if abserr > max(1e-8, 1e-5 * abs(value)):
         raise QuadratureDivergenceError(
-            f"{what} quadrature on [{lo}, {hi}] has unreliable error estimate {abserr:.3e} for value {value:.6e}"
+            f"majorant moment quadrature on [{lo}, {hi}] has unreliable error estimate {abserr:.3e} "
+            f"for value {value:.6e}"
         )
     return float(value)
+
+
+def majorant_moment(kernel, R: float, lo: float, hi: float, power: float) -> float:
+    """Radial integral ``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` of the majorant.
+
+    Exact (:meth:`LevyDensity.radial_moment`) for a kernel with a
+    ``density``; adaptive quadrature otherwise, up to the kernel's support
+    radius.  A divergent integral raises :class:`QuadratureDivergenceError`.
+    """
+    density = getattr(kernel, "density", None)
+    if density is not None:
+        return kernel.majorant_scale(float(R)) * density.radial_moment(lo, hi, power)
+    support = getattr(kernel, "support_radius", None)
+    if support is None:
+        support = getattr(getattr(kernel, "base", None), "support_radius", None)
+    if support is not None:
+        hi = min(hi, support)
+    dim = kernel.dim if kernel.dim is not None else 1
+    area = _SPHERE_AREA[dim]
+
+    def integrand(r):
+        return r ** power * float(kernel.majorant(R, r)) * area * r ** (dim - 1)
+
+    return _checked_quad(integrand, lo, hi)
+
+
+def _first_moment(kernel, R: float, lo: float, hi: float) -> float:
+    """``int_lo^hi (1 ^ r) m_R(r) dy`` over the shell ``lo <= |y| <= hi``, split at r = 1."""
+    return majorant_moment(kernel, R, lo, min(hi, 1.0), 1.0) + majorant_moment(kernel, R, max(lo, 1.0), hi, 0.0)
 
 
 def levy_constant(kernel, R: float, r_max: float = math.inf) -> tuple[float, float]:
     """First-moment integral ``K_R`` of the majorant, truncated at ``r_max``.
 
-    Returns ``(K_R, tail)`` where ``tail`` estimates the part of the full
-    integral dropped beyond ``r_max`` (``inf`` if it diverges there).  The
-    radial reduction uses the exact sphere-area factor (2 in 1-d,
-    ``2 pi r`` in 2-d) and the integrable singularity at 0 is handled by the
-    adaptive rule; a genuinely divergent integrand (e.g. a power-law order
-    smuggled past the constructors) raises
-    :class:`QuadratureDivergenceError`.
+    Returns ``(K_R, tail)`` where ``tail`` is the part of the full integral
+    dropped beyond ``r_max`` (``inf`` if it diverges there).  Both are radial
+    integrals (:func:`majorant_moment`), split at r = 1 for the weight
+    ``1 ^ r``: exact for the decoupled families, whose majorant is
+    ``F(R) mu(r)`` with a power-law or compact-bump density, and by adaptive
+    quadrature (scipy, imported on first use) for every other kernel.  A
+    genuinely divergent integral (e.g. a power-law order smuggled past the
+    constructors) raises :class:`QuadratureDivergenceError`.
     """
-    dim = kernel.dim if kernel.dim is not None else 1
-    surf = _sphere_factor(dim)
-
-    def integrand(r):
-        return min(1.0, r) * float(kernel.majorant(R, r)) * surf(r)
-
-    support = getattr(kernel, "support_radius", None)
-    if support is None:
-        support = getattr(getattr(kernel, "base", None), "support_radius", None)
-    upper = r_max if support is None else min(r_max, support)
-    if upper <= 0:
-        return 0.0, 0.0
-
-    value = _checked_quad(integrand, 0.0, min(1.0, upper), "Levy constant")
-    if upper > 1.0:
-        value += _checked_quad(integrand, 1.0, upper, "Levy constant")
-
+    value = _first_moment(kernel, R, 0.0, r_max)
     tail = 0.0
     if math.isfinite(r_max):
-        tail_upper = math.inf if support is None else support
-        if tail_upper > r_max:
-            try:
-                tail = _checked_quad(integrand, r_max, tail_upper, "Levy tail")
-            except QuadratureDivergenceError:
-                tail = math.inf
+        try:
+            tail = _first_moment(kernel, R, r_max, math.inf)
+        except QuadratureDivergenceError:
+            tail = math.inf
     return value, tail
 
 

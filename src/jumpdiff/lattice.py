@@ -306,12 +306,3 @@ def sample_profile(profile: Profile, grid: GridSpec) -> Field:
     values = rng.uniform(profile.low, profile.high, size=grid.n_cells)
     return Field(grid, values)
 
-
-def box_profile(center, width, height=1.0, base=0.0) -> Profile:
-    c = (center,) if np.isscalar(center) else tuple(center)
-    return Profile(kind="box", center=c, width=float(width), height=float(height), base=float(base))
-
-
-def smooth_bump_profile(center, width, height=1.0) -> Profile:
-    c = (center,) if np.isscalar(center) else tuple(center)
-    return Profile(kind="smooth_bump", center=c, width=float(width), height=float(height))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import QuadratureDivergenceError, RegularizedKernel, _checked_quad, _sphere_factor, levy_constant
+from .kernels import QuadratureDivergenceError, RegularizedKernel, levy_constant, majorant_moment
 from .lattice import Field, GridSpec, bv_norm, neighbor_windows, norm_lp, offset_distances
 
 __all__ = [
@@ -120,19 +120,8 @@ def _offset_batches(grid: GridSpec, keep: np.ndarray, half: bool) -> tuple:
 
 def _tail_estimate(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> float:
     """Majorant mass dropped beyond the half-period (minimal-image truncation)."""
-    dim = grid.dimension
-    surf = _sphere_factor(dim)
-    half = grid.period / 2.0
-
-    def integrand(r):
-        return float(regkernel.base.majorant(R, r)) * surf(r)
-
-    support = regkernel.base.support_radius
-    upper = math.inf if support is None else support
-    if upper <= half:
-        return 0.0
     try:
-        return _checked_quad(integrand, half, upper, "truncation tail")
+        return majorant_moment(regkernel.base, R, grid.period / 2.0, math.inf, 0.0)
     except QuadratureDivergenceError:
         return math.inf
 

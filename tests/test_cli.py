@@ -1,9 +1,16 @@
 import csv
 import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpdiff
 from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
 from jumpdiff.config import build_kernel, parse_config, resolve_eps_list, solver_config
 from jumpdiff.evolve import continuation_in_epsilon, mollify_initial
@@ -55,6 +62,45 @@ def test_repeated_implicit_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+HEAT2D = """\
+grid.n = 2
+grid.m = 8
+grid.l = 1.0
+kernel.family = fractional_heat
+profile.kind = random_bv
+solver.integrator = explicit_euler
+solver.t = 0.002
+"""
+
+RUN_WITHOUT_SCIPY = """\
+import json, math, sys
+from jumpdiff.cli import main
+from jumpdiff.kernels import levy_constant, make_variable_order
+
+codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+k = make_variable_order(lambda s: 0.3 + 0 * s, lambda s: 0.4 + 0 * s, lambda r: 0 * r, 0.3, 0.4)
+print(json.dumps({"codes": codes, "scipy": loaded, "variable_order_K": levy_constant(k, 1.0)[0],
+                  "scipy_after": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_run_of_decoupled_kernels_never_imports_scipy(tmp_path):
+    paths = []
+    for name, text in (("pm1d.cfg", IMPLICIT), ("heat2d.cfg", HEAT2D)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, *map(str, paths)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [EXIT_OK, EXIT_OK]
+    assert result["scipy"] == []
+    # A kernel without a density still integrates, importing scipy on first use.
+    assert 0.0 < result["variable_order_K"] < math.inf
+    assert result["scipy_after"]
+
+
 COMPARE = """\
 grid.n = 1
 grid.m = 64
@@ -84,6 +130,17 @@ def test_compare_mollifies_both_profiles(tmp_path):
     assert float(first["t"]) == 0.0
     assert float(first["l1_distance"]) == float(np.abs(u0.values - v0.values).sum() * grid.cell_volume)
     assert float(first["l1_distance"]) == pytest.approx(0.03554, abs=1e-5)   # raw boxes: 0.09375
+
+
+@pytest.mark.parametrize("command, key", [("run", "profile.mollify"), ("compare", "profile_b.mollify"),
+                                          ("converge", "profile.mollify")])
+def test_mollifier_below_spacing_exits_config(tmp_path, capsys, command, key):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(COMPARE.replace(f"{key} = 0.2", f"{key} = 0.001"), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("invalid configuration (1 problem(s)): ")
+    assert f"{key} = 0.001 is below the lattice spacing" in line
 
 
 def test_converge_mollifies_the_profile(tmp_path):

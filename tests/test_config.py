@@ -34,11 +34,18 @@ kernels = st.one_of(
               r0=positive, p=maybe(st.floats(2.0, 6.0))),
     st.just(KernelConfig(family="zero")),
 )
-profiles = st.builds(
-    ProfileConfig, kind=st.sampled_from(Profile._KINDS), center=maybe(numbers),
-    center_y=maybe(numbers), width=maybe(positive), height=numbers, base=numbers, a=numbers,
-    b=numbers, low=numbers, high=numbers, seed=st.integers(-10**6, 10**6), mollify=maybe(positive),
-)
+
+
+def profiles(grid):
+    """Profiles whose mollifier is no narrower than the lattice spacing, as parsing requires."""
+    return st.builds(
+        ProfileConfig, kind=st.sampled_from(Profile._KINDS), center=maybe(numbers),
+        center_y=maybe(numbers), width=maybe(positive), height=numbers, base=numbers, a=numbers,
+        b=numbers, low=numbers, high=numbers, seed=st.integers(-10**6, 10**6),
+        mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
+    )
+
+
 solvers = st.builds(
     SolverSection, integrator=st.sampled_from(["explicit_euler", "backward_euler_picard"]),
     t=positive, epsilon=maybe(unit), dt=maybe(positive), cfl_theta=unit, cfl_override=st.booleans(),
@@ -48,11 +55,11 @@ solvers = st.builds(
 diags = st.builds(DiagSection, slack_norms=positive, slack_tv=positive,
                   slack_contraction=maybe(positive), slack_comparison=maybe(positive))
 validates = st.builds(ValidateSection, r=positive, epsilon=unit, budget=st.integers(1000, 10**6))
-configs = st.builds(
-    RunConfig, grid=grids, kernel=kernels, profile=profiles,
-    profile_b=st.none() | st.just(ProfileConfig()) | profiles, solver=solvers, diag=diags,
+configs = grids.flatmap(lambda grid: st.builds(
+    RunConfig, grid=st.just(grid), kernel=kernels, profile=profiles(grid),
+    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers, diag=diags,
     validate=validates, output_dir=names, seed=st.integers(-10**6, 10**6), threads=st.integers(1, 64),
-)
+))
 
 
 @given(configs)

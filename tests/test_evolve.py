@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jumpdiff import evolve
+from jumpdiff.config import DiagSection
 from jumpdiff.diagnostics import check_comparison, check_contraction, check_monotone_series
 from jumpdiff.evolve import (
     SUP_NORM_SLACK,
@@ -158,6 +159,21 @@ class TestExplicitStructure:
         ctx, _, traj = explicit_run(name, values)
         for quantity in ("l1", "linf"):
             assert check_monotone_series(traj, quantity, roundoff(ctx, EXPLICIT_STEPS)).passed, quantity
+
+
+@pytest.mark.parametrize("integrator", ["explicit_euler", "backward_euler_picard"])
+@pytest.mark.parametrize("name", sorted(EXPLICIT_CTX))
+@given(values=profiles(-1.0))
+def test_tv_and_bv_do_not_increase(name, integrator, values):
+    # No solver.dt: both integrators step at the CFL dt, as `jumpdiff run` does by default.
+    ctx = EXPLICIT_CTX[name]
+    dt = cfl_dt(ctx, ctx.bound_R, SolverConfig().cfl_theta)
+    config = SolverConfig(integrator=integrator, end_time=EXPLICIT_STEPS * dt, snapshot_every=dt)
+    traj = run(ctx, Field(ctx.grid, values), config)
+    assert len(traj.fields) == EXPLICIT_STEPS + 1
+    slack = DiagSection()   # the slacks `jumpdiff run` checks with
+    assert check_monotone_series(traj, "tv", slack.slack_tv).passed
+    assert check_monotone_series(traj, "bv", slack.slack_tv + 2 * slack.slack_norms).passed
 
 
 class TestImplicitDivergence:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from jumpdiff.axioms import check_axioms
 from jumpdiff.kernels import (
+    JumpKernel,
+    LevyDensity,
     QuadratureDivergenceError,
     compact_bump_density,
     cone_combine,
@@ -26,6 +29,7 @@ from jumpdiff.kernels import (
     table_function,
 )
 from jumpdiff.lattice import make_grid, offset_distances
+from jumpdiff.operator import build_context
 
 MU1 = compact_bump_density(1e9, dim=1)  # mu == 1 on every relevant distance
 
@@ -216,8 +220,6 @@ class TestLevyConstant:
         assert v == pytest.approx(2 * v1 + 3 * v2, rel=1e-9)
 
     def test_reports_divergence_for_smuggled_order(self):
-        from jumpdiff.kernels import JumpKernel
-
         bad = JumpKernel(
             name="bad",
             dim=1,
@@ -234,6 +236,75 @@ class TestLevyConstant:
         k = make_fractional_heat(0.5, 1.0, dim=2)
         value, _ = levy_constant(k, 1.0)
         assert value == pytest.approx(8 * math.pi, rel=1e-3)
+
+
+DECOUPLED_FAMILIES = {
+    "fractional_heat": lambda mu: make_fractional_heat(mu.alpha, mu.amplitude, mu.dim),
+    "porous_medium": lambda mu: make_porous_medium(power_odd(2.0), mu),
+    "convex_diffusion": lambda mu: make_convex_diffusion(power_abs(2.0), mu),
+    "p_laplacian": lambda mu: make_p_laplacian(phi_power(3.0), mu),
+    "doubly_nonlinear": lambda mu: make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu),
+}
+DENSITIES = [("power_law", alpha) for alpha in (0.1, 0.5, 0.9, 0.99)] + [("compact_bump", r0) for r0 in (0.5, 3.0)]
+CLOSED_FORM_CASES = [
+    pytest.param(family, kind, param, dim, id=f"{family}-{kind}-{param}-{dim}d")
+    for family in DECOUPLED_FAMILIES
+    for kind, param in DENSITIES
+    for dim in (1, 2)
+    if not (family == "fractional_heat" and kind == "compact_bump")
+]
+
+
+def density(kind, param, dim):
+    if kind == "power_law":
+        return power_law_density(param, dim, amplitude=1.5)
+    return compact_bump_density(param, dim, amplitude=0.7)
+
+
+def quadrature_twin(k):
+    """The same majorant without a density, so its moments go through adaptive quadrature."""
+    return JumpKernel(k.name, k.dim, k.eval_fn, k.majorant_fn, support_radius=k.support_radius)
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("family, kind, param, dim", CLOSED_FORM_CASES)
+    def test_levy_constant_matches_quadrature(self, family, kind, param, dim):
+        k = DECOUPLED_FAMILIES[family](density(kind, param, dim))
+        assert k.density is not None
+        twin = quadrature_twin(k)
+        for r_max in (math.inf, 0.5, 100.0):
+            assert levy_constant(k, 1.5, r_max) == pytest.approx(levy_constant(twin, 1.5, r_max), rel=1e-9)
+
+    @pytest.mark.parametrize("family, kind, param, dim", CLOSED_FORM_CASES)
+    def test_tail_estimate_matches_quadrature(self, family, kind, param, dim):
+        k = DECOUPLED_FAMILIES[family](density(kind, param, dim))
+        for period in (1.0, 4.0):
+            grid = make_grid(dim, 8, period)
+            exact, quad = (build_context(grid, regularize(kk, grid.spacing), 1.5).tail_estimate
+                           for kk in (k, quadrature_twin(k)))
+            assert exact == pytest.approx(quad, rel=1e-9)
+
+    def test_exact_power_law_moments(self):
+        mu = power_law_density(0.5, 2, amplitude=3.0)
+        assert mu.radial_moment(4.0, math.inf, 0.0) == 3.0 * 2 * math.pi * 4.0 ** -0.5 / 0.5
+        assert mu.radial_moment(2.0, 8.0, 0.5) == 3.0 * 2 * math.pi * math.log(4.0)
+        assert mu.radial_moment(2.0, 1.0, 1.0) == 0.0
+
+    def test_smuggled_order_diverges_and_fails_a5(self):
+        k = make_porous_medium(power_odd(2.0), LevyDensity("power_law", 1, alpha=1.2))
+        with pytest.raises(QuadratureDivergenceError):
+            levy_constant(k, 1.0)
+        reports = {r.axiom: r for r in check_axioms(k, R=1.0, epsilon=0.1, sample_budget=2000, seed=0)}
+        assert reports["A5"].verdict == "fail"
+
+    def test_order_zero_has_infinite_tail(self):
+        k = make_porous_medium(power_odd(2.0), LevyDensity("power_law", 1, alpha=0.0))
+        value, tail = levy_constant(k, 1.0, r_max=100.0)
+        # f' <= 2 on [-1, 1]; 2 * 2 * (int_0^1 dr + int_1^100 dr / r)
+        assert value == pytest.approx(4.0 * (1.0 + math.log(100.0)), rel=1e-14)
+        assert tail == math.inf
+        grid = make_grid(1, 8, 4.0)
+        assert build_context(grid, regularize(k, grid.spacing), 1.0).tail_estimate == math.inf
 
 
 class TestSmoothRamp:
