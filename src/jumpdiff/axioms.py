@@ -23,7 +23,7 @@ from . import operator
 from .kernels import JumpKernel, QuadratureDivergenceError, RegularizedKernel, levy_constant, regular_bound_M
 from .lattice import Field, GridSpec, make_grid, neighbor_windows, offset_distances
 
-__all__ = ["AxiomReport", "check_axioms", "check_regular", "replay_violation"]
+__all__ = ["AxiomReport", "check_axiom_settings", "check_axioms", "check_regular", "replay_violation"]
 
 # Relative tolerance separating float noise from genuine violations.
 VIOLATION_RTOL = 1e-12
@@ -73,6 +73,16 @@ def _worst(values: np.ndarray, samples: tuple) -> tuple[float, dict]:
     return float(values[i]), witness
 
 
+def check_axiom_settings(R: float, epsilon: float, sample_budget: int) -> None:
+    """Raise ``ValueError`` unless :func:`check_axioms` admits these settings."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError("epsilon must lie in (0, 1]")
+    if sample_budget < 1_000:
+        raise ValueError("sample budget must be at least 1000")
+
+
 def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: int = 10_000, seed: int = 0) -> list[AxiomReport]:
     """Check conditions A1-A6 on random samples; one report per condition.
 
@@ -81,12 +91,7 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
     structural for this interface (the evaluator only sees ``r``), so it
     always passes.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError("epsilon must lie in (0, 1]")
-    if sample_budget < 1_000:
-        raise ValueError("sample budget must be at least 1000")
+    check_axiom_settings(R, epsilon, sample_budget)
     n = int(sample_budget)
     rng_a1, rng_a2, rng_a3, rng_a5, rng_a6, rng_probe = _rngs(seed, 6)
     reports = []

@@ -3,8 +3,9 @@
 Exit codes form a small contract for CI use:
 
 * 0 -- everything requested passed;
-* 1 -- configuration could not be parsed or validated, including a cutoff
-  radius ``solver.epsilon`` that leaves no lattice neighbour;
+* 1 -- the command line or the configuration could not be parsed or
+  validated, including a cutoff radius ``solver.epsilon`` that leaves no
+  lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   an implicit step that still diverged after 10 dt halvings, a broken
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +121,10 @@ def _write_checks(outdir: Path, tag: str, results) -> None:
 def _load_config(args) -> tuple[RunConfig, Path]:
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_config(text)
-    if args.out is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "output_dir": args.out})
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
     if args.threads is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "threads": args.threads})
+        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
+    overrides = {"output_dir": args.out, "seed": args.seed}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return cfg, outdir
@@ -187,6 +187,17 @@ def _monotone_checks(cfg: RunConfig, traj: Trajectory):
     ]
 
 
+def _report_checks(results) -> int:
+    """Print one line per check, name the failed ones on stderr, and return the exit code."""
+    for r in results:
+        print(f"{r.name}: {'pass' if r.passed else 'fail'} (worst margin {r.worst_margin:.3e})")
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        print(f"structural check failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_SOLVER
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
     ctx, (u0,), sc = _prepare_run(cfg, cfg.profile)
@@ -200,9 +211,7 @@ def cmd_run(args) -> int:
     _write_trajectory(outdir, "", traj)
     results = _monotone_checks(cfg, traj)
     _write_checks(outdir, "", results)
-    for r in results:
-        print(f"{r.name}: {'pass' if r.passed else 'fail'} (worst margin {r.worst_margin:.3e})")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
+    return _report_checks(results)
 
 
 def _contraction_slack(cfg: RunConfig, traj: Trajectory) -> float:
@@ -247,9 +256,7 @@ def cmd_compare(args) -> int:
          for t, fu, fv in zip(traj_u.times, traj_u.fields, traj_v.fields)),
     )
     _write_checks(outdir, "compare_", results)
-    for r in results:
-        print(f"{r.name}: {'pass' if r.passed else 'fail'} (worst margin {r.worst_margin:.3e})")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
+    return _report_checks(results)
 
 
 def cmd_converge(args) -> int:
@@ -269,8 +276,14 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit on a usage error with code 1 and a one-line message."""
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jumpdiff",
         description="Nonlocal diffusion with solution-dependent jump kernels on a periodic lattice.",
     )
@@ -285,9 +298,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the key=value configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
         p.add_argument("--seed", type=int, default=None, help="seed override (overrides run.seed)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count; 1 forces fully deterministic mode (the numpy "
-                            "backend is deterministic for any value)")
+        p.add_argument("--threads", type=int, default=None, help="deprecated; has no effect")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

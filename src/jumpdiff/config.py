@@ -5,19 +5,32 @@ ignored; every other line must read ``section.key = value`` with dotted
 section prefixes (``grid.*``, ``kernel.*``, ``profile.*``, ``solver.*``,
 ``diag.*``, ``validate.*``, ``output.*``, ``run.*``; ``profile_b.*`` names
 the second initial condition of a comparison run).  Values are integers,
-floats, ``true``/``false``, or strings (quoted or bare identifiers).
+finite floats, ``true``/``false``, or strings (quoted or bare identifiers).
+The keys of a section are the fields of its dataclass.
 
-Parsing collects *all* problems -- unknown keys, type mismatches, duplicate
-keys (with both line numbers), constraint violations -- and reports them
-together in a single :class:`ConfigError`.
+A configuration is validated by building it: the grid, the solver config,
+the continuation radii, the kernel regularized at each configured radius,
+each sampled profile and the axiom-check settings are made by the code a
+command later runs, so each range rule is stated once, by its constructor.
+Parsing collects every unknown key, type mismatch and duplicate key (with
+both line numbers), plus the first constructor problem of each section, and
+reports them together in a single :class:`ConfigError` (a constructor
+problem is prefixed with its section, as in ``kernel: amplitude must be
+positive``).  The deprecated key ``run.threads`` is accepted with a warning
+on stderr and has no effect.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass, fields
 
-from .evolve import SolverConfig
+import numpy as np
+
+from .axioms import check_axiom_settings
+from .evolve import SolverConfig, check_eps_list
 from .kernels import (
     JumpKernel,
     compact_bump_density,
@@ -32,9 +45,10 @@ from .kernels import (
     power_abs,
     power_law_density,
     power_odd,
+    regularize,
     table_function,
 )
-from .lattice import GridSpec, Profile, make_grid
+from .lattice import GridSpec, Profile, make_grid, sample_profile
 
 __all__ = [
     "RunConfig",
@@ -46,16 +60,6 @@ __all__ = [
     "solver_config",
     "resolve_eps_list",
 ]
-
-KERNEL_FAMILIES = (
-    "fractional_heat",
-    "porous_medium",
-    "convex_diffusion",
-    "p_laplacian",
-    "doubly_nonlinear",
-    "variable_order",
-    "zero",
-)
 
 
 class ConfigError(ValueError):
@@ -139,55 +143,22 @@ class RunConfig:
     validate: ValidateSection = ValidateSection()
     output_dir: str = "out"
     seed: int = 0
-    threads: int = 1
 
 
-# key -> (target section, attribute, type tag)
+_SECTIONS = (("kernel", KernelConfig), ("profile", ProfileConfig), ("profile_b", ProfileConfig),
+             ("solver", SolverSection), ("diag", DiagSection), ("validate", ValidateSection))
+
+# key -> (target section, attribute, type tag).  A section's keys are its
+# dataclass fields, tagged with the first type of the annotation
+# (``float | None`` -> ``float``).
 _SCHEMA: dict[str, tuple[str, str, str]] = {
     "grid.n": ("grid", "dimension", "int"),
     "grid.m": ("grid", "cells_per_axis", "int"),
     "grid.l": ("grid", "period", "float"),
-    "kernel.family": ("kernel", "family", "str"),
-    "kernel.alpha": ("kernel", "alpha", "float"),
-    "kernel.amplitude": ("kernel", "amplitude", "float"),
-    "kernel.f": ("kernel", "f", "str"),
-    "kernel.m": ("kernel", "m", "float"),
-    "kernel.f_table": ("kernel", "f_table", "str"),
-    "kernel.p": ("kernel", "p", "float"),
-    "kernel.mu": ("kernel", "mu", "str"),
-    "kernel.r0": ("kernel", "r0", "float"),
-    "kernel.a1": ("kernel", "a1", "float"),
-    "kernel.a2": ("kernel", "a2", "float"),
-    "solver.integrator": ("solver", "integrator", "str"),
-    "solver.t": ("solver", "t", "float"),
-    "solver.epsilon": ("solver", "epsilon", "float"),
-    "solver.dt": ("solver", "dt", "float"),
-    "solver.cfl_theta": ("solver", "cfl_theta", "float"),
-    "solver.cfl_override": ("solver", "cfl_override", "bool"),
-    "solver.picard_tol": ("solver", "picard_tol", "float"),
-    "solver.picard_max_iters": ("solver", "picard_max_iters", "int"),
-    "solver.snapshot_every": ("solver", "snapshot_every", "float"),
-    "solver.eps_list": ("solver", "eps_list", "str"),
-    "solver.r": ("solver", "r", "float"),
-    "diag.slack_norms": ("diag", "slack_norms", "float"),
-    "diag.slack_tv": ("diag", "slack_tv", "float"),
-    "diag.slack_contraction": ("diag", "slack_contraction", "float"),
-    "diag.slack_comparison": ("diag", "slack_comparison", "float"),
-    "validate.r": ("validate", "r", "float"),
-    "validate.epsilon": ("validate", "epsilon", "float"),
-    "validate.budget": ("validate", "budget", "int"),
     "output.dir": ("top", "output_dir", "str"),
     "run.seed": ("top", "seed", "int"),
-    "run.threads": ("top", "threads", "int"),
+    **{f"{sec}.{f.name}": (sec, f.name, f.type.split(" |")[0]) for sec, cls in _SECTIONS for f in fields(cls)},
 }
-for _pkey, _attr in (
-    ("kind", "kind"), ("center", "center"), ("center_y", "center_y"), ("width", "width"),
-    ("height", "height"), ("base", "base"), ("a", "a"), ("b", "b"),
-    ("low", "low"), ("high", "high"), ("seed", "seed"), ("mollify", "mollify"),
-):
-    _type = "str" if _pkey == "kind" else ("int" if _pkey == "seed" else "float")
-    _SCHEMA[f"profile.{_pkey}"] = ("profile", _attr, _type)
-    _SCHEMA[f"profile_b.{_pkey}"] = ("profile_b", _attr, _type)
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BOOL = {"true": True, "false": False}
@@ -195,32 +166,22 @@ _BOOL = {"true": True, "false": False}
 
 def _parse_value(raw: str, type_tag: str):
     raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
-        value: object = raw[1:-1]
-    elif raw.lower() in _BOOL:
-        value = _BOOL[raw.lower()]
-    elif _INT_RE.match(raw):
-        value = int(raw)
-    else:
-        try:
-            value = float(raw)
-        except ValueError:
-            value = raw
-    if type_tag == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"expected an integer, got {raw!r}")
-        return value
+    if type_tag == "str":
+        quoted = len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\""
+        return raw[1:-1] if quoted else raw
+    if type_tag == "bool" and raw.lower() in _BOOL:
+        return _BOOL[raw.lower()]
+    if type_tag == "int" and _INT_RE.match(raw):
+        return int(raw)
     if type_tag == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"expected a number, got {raw!r}")
-        return float(value)
-    if type_tag == "bool":
-        if not isinstance(value, bool):
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return value
-    if not isinstance(value, str):
-        value = raw
-    return value
+        try:
+            value = float(raw)   # a huge integer becomes inf, which is rejected below
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value):
+            return value
+    expected = {"bool": "true/false", "int": "an integer", "float": "a finite number"}[type_tag]
+    raise ValueError(f"expected {expected}, got {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -228,7 +189,6 @@ def parse_config(text: str) -> RunConfig:
     problems: list[tuple[int | None, str]] = []
     seen: dict[str, int] = {}
     values: dict[str, object] = {}
-    key_line: dict[str, int] = {}
 
     for ln, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
@@ -243,141 +203,109 @@ def parse_config(text: str) -> RunConfig:
             problems.append((ln, f"duplicate key {key!r} (first set on line {seen[key]})"))
             continue
         seen[key] = ln
+        if key == "run.threads":   # deprecated: accepted with a warning, no effect
+            print(f"warning: line {ln}: {key} is deprecated and has no effect", file=sys.stderr)
+            continue
         if key not in _SCHEMA:
             problems.append((ln, f"unknown key {key!r}"))
             continue
         _, _, type_tag = _SCHEMA[key]
         try:
             values[key] = _parse_value(raw, type_tag)
-            key_line[key] = ln
         except ValueError as exc:
             problems.append((ln, f"{key}: {exc}"))
 
-    sections: dict[str, dict] = {"grid": {}, "kernel": {}, "profile": {}, "profile_b": {},
-                                 "solver": {}, "diag": {}, "validate": {}, "top": {}}
+    sections: dict[str, dict] = {"grid": {}, "top": {}, **{sec: {} for sec, _ in _SECTIONS}}
     for key, value in values.items():
         section, attr, _ = _SCHEMA[key]
         sections[section][attr] = value
 
     def fail(key: str, msg: str):
-        problems.append((key_line.get(key), msg))
+        problems.append((seen.get(key), msg))
 
-    # grid is mandatory and validated by its own constructor
+    def built(section: str, build):
+        """``build()``, or None after recording its ``ValueError`` as a problem of ``section``."""
+        try:
+            return build()
+        except ValueError as exc:
+            problems.append((None, f"{section}: {exc}"))
+            return None
+
     grid = None
     g = sections["grid"]
-    missing = [k for k in ("dimension", "cells_per_axis", "period") if k not in g]
+    missing = [k for k in ("grid.n", "grid.m", "grid.l") if _SCHEMA[k][1] not in g]
     if missing:
-        problems.append((None, "missing required grid keys: "
-                         + ", ".join({"dimension": "grid.n", "cells_per_axis": "grid.m", "period": "grid.l"}[k] for k in missing)))
+        problems.append((None, "missing required grid keys: " + ", ".join(missing)))
     else:
-        try:
-            grid = make_grid(g["dimension"], g["cells_per_axis"], g["period"])
-        except ValueError as exc:
-            fail("grid.n", f"grid: {exc}")
+        grid = built("grid", lambda: make_grid(**g))
 
-    try:
-        kernel = KernelConfig(**sections["kernel"])
-    except TypeError as exc:  # pragma: no cover - schema prevents this
-        problems.append((None, str(exc)))
-        kernel = KernelConfig()
-    _validate_kernel(kernel, fail)
+    cfg = RunConfig(
+        grid=grid,
+        profile_b=ProfileConfig(**sections["profile_b"]) if sections["profile_b"] else None,
+        **{sec: cls(**sections[sec]) for sec, cls in _SECTIONS if sec != "profile_b"},
+        **sections["top"],
+    )
 
-    profile = ProfileConfig(**sections["profile"])
-    profile_b = ProfileConfig(**sections["profile_b"]) if sections["profile_b"] else None
-    for label, pc in (("profile", profile), ("profile_b", profile_b)):
-        if pc is not None and pc.kind not in Profile._KINDS:
-            fail(f"{label}.kind", f"{label}.kind: unknown profile kind {pc.kind!r}")
-        if pc is not None and pc.mollify is not None and grid is not None and pc.mollify < grid.spacing:
-            fail(f"{label}.mollify", f"{label}.mollify = {pc.mollify:g} is below the lattice spacing "
-                                     f"grid.l / grid.m = {grid.spacing:g}")
+    if grid is not None:
+        sc = built("solver", lambda: solver_config(cfg))
+        radii = [] if sc is None else [sc.epsilon]
+        if cfg.solver.eps_list is not None:
+            radii += built("solver", lambda: resolve_eps_list(cfg)) or []
+        kernel = built("kernel", lambda: build_kernel(cfg))
+        if kernel is not None:
+            # Cutoff radii of a run and of a continuation, through the regularization owning their rule.
+            built("kernel", lambda: [regularize(kernel, eps) for eps in radii])
+        for label, pc in (("profile", cfg.profile), ("profile_b", cfg.profile_b)):
+            if pc is None:
+                continue
+            built(label, lambda: sample_profile(build_profile(pc, grid), grid))
+            if pc.mollify is not None and pc.mollify < grid.spacing:
+                fail(f"{label}.mollify", f"{label}.mollify = {pc.mollify:g} is below the lattice spacing "
+                                         f"grid.l / grid.m = {grid.spacing:g}")
 
-    solver = SolverSection(**sections["solver"])
-    if solver.integrator not in ("explicit_euler", "backward_euler_picard"):
-        fail("solver.integrator", f"unknown integrator {solver.integrator!r}")
-    if solver.t <= 0:
-        fail("solver.t", f"solver.t must be positive, got {solver.t}")
-    if solver.epsilon is not None and not (0.0 < solver.epsilon <= 1.0):
-        fail("solver.epsilon", f"solver.epsilon must lie in (0, 1], got {solver.epsilon}")
-    if solver.dt is not None and solver.dt <= 0:
-        fail("solver.dt", f"solver.dt must be positive, got {solver.dt}")
-    if not (0.0 < solver.cfl_theta <= 1.0):
-        fail("solver.cfl_theta", f"solver.cfl_theta must lie in (0, 1], got {solver.cfl_theta}")
-    if solver.picard_tol <= 0:
-        fail("solver.picard_tol", "solver.picard_tol must be positive")
-
-    diag = DiagSection(**sections["diag"])
-    validate = ValidateSection(**sections["validate"])
-    if validate.budget < 1000:
-        fail("validate.budget", "validate.budget must be at least 1000")
+    if cfg.solver.r is not None and cfg.solver.r <= 0:
+        fail("solver.r", f"solver.r must be positive, got {cfg.solver.r}")
+    built("validate", lambda: check_axiom_settings(cfg.validate.r, cfg.validate.epsilon, cfg.validate.budget))
 
     if problems:
         raise ConfigError(problems)
-
-    return RunConfig(
-        grid=grid,
-        kernel=kernel,
-        profile=profile,
-        profile_b=profile_b,
-        solver=solver,
-        diag=diag,
-        validate=validate,
-        output_dir=sections["top"].get("output_dir", "out"),
-        seed=sections["top"].get("seed", 0),
-        threads=sections["top"].get("threads", 1),
-    )
+    return cfg
 
 
-def _validate_kernel(kc: KernelConfig, fail) -> None:
-    if kc.family not in KERNEL_FAMILIES:
-        fail("kernel.family", f"unknown kernel family {kc.family!r}")
-        return
-    needs_alpha = kc.family == "fractional_heat" or (
-        kc.family in ("porous_medium", "convex_diffusion", "p_laplacian", "doubly_nonlinear")
-        and kc.mu == "power_law"
-    )
-    if needs_alpha and not (0.0 < kc.alpha < 1.0):
-        fail("kernel.alpha", f"kernel.alpha = {kc.alpha} violates the integrability "
-             "constraint (A5): power-law order must lie in (0, 1)")
-    if kc.mu not in ("power_law", "compact_bump"):
-        fail("kernel.mu", f"unknown Levy density kind {kc.mu!r}")
-    if kc.mu == "compact_bump" and kc.family != "fractional_heat" and kc.family != "zero" and kc.r0 is None:
-        fail("kernel.r0", "compact_bump density needs kernel.r0")
-    if kc.family in ("porous_medium", "doubly_nonlinear"):
-        fkind = kc.f or "power_odd"
-        if fkind == "power_odd" and kc.m is not None and kc.m < 1:
-            fail("kernel.m", f"kernel.m = {kc.m} must be >= 1")
-        if fkind == "table" and not kc.f_table:
-            fail("kernel.f_table", "table nonlinearity needs kernel.f_table breakpoints")
-        if fkind not in ("power_odd", "table"):
-            fail("kernel.f", f"family {kc.family!r} needs a differentiable non-decreasing f; got {fkind!r}")
-    if kc.family == "convex_diffusion":
-        fkind = kc.f or "power_abs"
-        if fkind not in ("power_abs", "table"):
-            fail("kernel.f", f"convex diffusion needs a convex non-negative f; got {fkind!r}")
-        if fkind == "power_abs" and kc.m is not None and kc.m < 1:
-            fail("kernel.m", f"kernel.m = {kc.m} must be >= 1")
-    if kc.family in ("p_laplacian", "doubly_nonlinear"):
-        if kc.p is not None and kc.p < 2:
-            fail("kernel.p", f"kernel.p = {kc.p} must be >= 2 (phi(z)/z unbounded at 0 otherwise)")
-    if kc.family == "variable_order":
-        a1 = kc.a1 if kc.a1 is not None else 0.25
-        a2 = kc.a2 if kc.a2 is not None else 0.5
-        if not (0.0 < a1 <= a2 < 1.0):
-            fail("kernel.a1", f"variable-order bounds need 0 < a1 <= a2 < 1, got a1={a1}, a2={a2}")
+# The f kinds a family admits (its default first), and why.
+_F_KINDS = {
+    "porous_medium": (("power_odd", "table"), "a differentiable non-decreasing f"),
+    "doubly_nonlinear": (("power_odd", "table"), "a differentiable non-decreasing f"),
+    "convex_diffusion": (("power_abs", "table"), "a convex non-negative f"),
+}
 
 
-def _parse_table(spec: str):
-    pairs = []
-    for item in spec.split(","):
-        x, _, y = item.partition(":")
-        pairs.append((float(x), float(y)))
-    return pairs
+def _build_f(kc: KernelConfig):
+    kinds, why = _F_KINDS[kc.family]
+    fkind = kc.f or kinds[0]
+    if fkind not in kinds:
+        raise ValueError(f"family {kc.family!r} needs {why} (kernel.f = {' or '.join(kinds)}); got {fkind!r}")
+    if fkind == "table":
+        if not kc.f_table:
+            raise ValueError("table nonlinearity needs kernel.f_table breakpoints")
+        points = [item.split(":") for item in kc.f_table.split(",")]
+        if any(len(point) != 2 for point in points):
+            raise ValueError(f"f_table must read 'x:y, x:y, ...', got {kc.f_table!r}")
+        return table_function([(float(x), float(y)) for x, y in points])
+    m = kc.m if kc.m is not None else 2.0
+    return power_odd(m) if fkind == "power_odd" else power_abs(m)
 
 
 def build_kernel(cfg: RunConfig) -> JumpKernel:
-    """Construct the configured kernel for the configured grid dimension."""
+    """Construct the configured kernel for the configured grid dimension.
+
+    Raises ``ValueError`` for an unknown family or density, and for a
+    setting the family's constructors do not admit.
+    """
     kc = cfg.kernel
     dim = cfg.grid.dimension
+    if kc.mu not in ("power_law", "compact_bump"):
+        raise ValueError(f"unknown Levy density kind {kc.mu!r}")
     if kc.family == "zero":
         return make_zero_kernel(dim)
     if kc.family == "fractional_heat":
@@ -385,7 +313,6 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
     if kc.family == "variable_order":
         a1 = kc.a1 if kc.a1 is not None else 0.25
         a2 = kc.a2 if kc.a2 is not None else 0.5
-        import numpy as np
 
         def psi1(s):
             return (a2 - a1) * (1.0 - np.exp(-np.asarray(s, dtype=float)))
@@ -397,28 +324,24 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
             return np.full_like(np.asarray(z, dtype=float), a1)
 
         return make_variable_order(psi1, psi2, theta, a1, a2, dim)
+    if kc.family != "p_laplacian" and kc.family not in _F_KINDS:
+        raise ValueError(f"unknown kernel family {kc.family!r}")
 
     if kc.mu == "power_law":
         mu = power_law_density(kc.alpha, dim, kc.amplitude)
+    elif kc.r0 is None:
+        raise ValueError("compact_bump density needs kernel.r0")
     else:
         mu = compact_bump_density(kc.r0, dim, kc.amplitude)
 
-    def make_f(default_kind: str):
-        fkind = kc.f or default_kind
-        if fkind == "power_odd":
-            return power_odd(kc.m if kc.m is not None else 2.0)
-        if fkind == "power_abs":
-            return power_abs(kc.m if kc.m is not None else 2.0)
-        return table_function(_parse_table(kc.f_table))
-
     if kc.family == "porous_medium":
-        return make_porous_medium(make_f("power_odd"), mu)
+        return make_porous_medium(_build_f(kc), mu)
     if kc.family == "convex_diffusion":
-        return make_convex_diffusion(make_f("power_abs"), mu)
+        return make_convex_diffusion(_build_f(kc), mu)
+    phi = phi_power(kc.p if kc.p is not None else 2.0)
     if kc.family == "p_laplacian":
-        return make_p_laplacian(phi_power(kc.p if kc.p is not None else 2.0), mu)
-    # doubly_nonlinear
-    return make_doubly_nonlinear(make_f("power_odd"), phi_power(kc.p if kc.p is not None else 2.0), mu)
+        return make_p_laplacian(phi, mu)
+    return make_doubly_nonlinear(_build_f(kc), phi, mu)
 
 
 def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
@@ -461,15 +384,8 @@ def resolve_eps_list(cfg: RunConfig) -> list[float]:
     raw = cfg.solver.eps_list
     if raw is None:
         return [4 * h, 2 * h, h]
-    out = []
-    for item in raw.split(","):
-        item = item.strip()
-        if item.endswith("h"):
-            factor = item[:-1].strip()
-            out.append((float(factor) if factor else 1.0) * h)
-        else:
-            out.append(float(item))
-    return out
+    items = [item.strip() for item in raw.split(",")]
+    return check_eps_list([float(e[:-1] or 1) * h if e.endswith("h") else float(e) for e in items], h)
 
 
 def _format_value(v) -> str:
@@ -490,14 +406,11 @@ def serialize_config(cfg: RunConfig) -> str:
         f"grid.l = {_format_value(cfg.grid.period)}",
     ]
 
-    def emit(section_name: str, obj, defaults) -> None:
+    def emit(section: str, obj, defaults) -> None:
         for f in fields(obj):
             v = getattr(obj, f.name)
-            if v is None or v == getattr(defaults, f.name):
-                continue
-            key = next(k for k, (sec, attr, _) in _SCHEMA.items()
-                       if sec == section_name and attr == f.name)
-            lines.append(f"{key} = {_format_value(v)}")
+            if v is not None and v != getattr(defaults, f.name):
+                lines.append(f"{section}.{f.name} = {_format_value(v)}")
 
     emit("kernel", cfg.kernel, KernelConfig())
     emit("profile", cfg.profile, ProfileConfig())
@@ -514,6 +427,4 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append(f'output.dir = "{cfg.output_dir}"')
     if cfg.seed != 0:
         lines.append(f"run.seed = {cfg.seed}")
-    if cfg.threads != 1:
-        lines.append(f"run.threads = {cfg.threads}")
     return "\n".join(lines) + "\n"

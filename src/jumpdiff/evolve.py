@@ -42,6 +42,7 @@ __all__ = [
     "step_explicit",
     "step_backward_picard",
     "run",
+    "check_eps_list",
     "continuation_in_epsilon",
     "mollify_initial",
 ]
@@ -108,6 +109,8 @@ class SolverConfig:
             raise ValueError("cfl safety factor must lie in (0, 1]")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
+        if self.picard_max_iters < 1:
+            raise ValueError("picard_max_iters must be at least 1")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.snapshot_every is not None and self.snapshot_every <= 0:
@@ -175,6 +178,8 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
     ``DIVERGENCE_FACTOR`` times above the first one, or when the kernel
     evaluates to a non-finite value on an iterate.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     hn = ctx.grid.cell_volume
     uv = u.values
     w = uv
@@ -335,6 +340,16 @@ def _implicit_step_with_retries(ctx, u, dt, config, traj):
     return u, iters_total
 
 
+def check_eps_list(eps_list, spacing: float) -> list[float]:
+    """``eps_list`` as floats; raises unless strictly decreasing with every radius >= ``spacing``."""
+    eps_list = [float(e) for e in eps_list]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    if any(e < spacing * (1.0 - 1e-12) for e in eps_list):
+        raise ValueError("all continuation radii must be at least the lattice spacing")
+    return eps_list
+
+
 def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_list,
                             config: SolverConfig, R: float | None = None):
     """Run the same problem for a decreasing list of regularization radii.
@@ -346,12 +361,7 @@ def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_l
     finest radius when the config leaves dt to the CFL policy) so snapshot
     times align exactly.
     """
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    h = grid.spacing
-    if any(e < h * (1.0 - 1e-12) for e in eps_list):
-        raise ValueError("all continuation radii must be at least the lattice spacing")
+    eps_list = check_eps_list(eps_list, grid.spacing)
     if R is None:
         R = max(1.0, float(np.max(np.abs(u0.values))))
 

@@ -284,7 +284,10 @@ def sample_profile(profile: Profile, grid: GridSpec) -> Field:
             inside = np.all(np.abs(d) <= width / 2, axis=1)
             values = np.where(inside, profile.height, profile.base)
         else:
-            s2 = np.sum((d / (width / 2)) ** 2, axis=1)
+            # A width far below the spacing overflows s2 (or divides by an
+            # underflowed width / 2); those cells fall outside the core anyway.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                s2 = np.sum((d / (width / 2)) ** 2, axis=1)
             values = np.zeros(grid.n_cells)
             core = s2 < 1.0
             values[core] = profile.height * np.exp(1.0 - 1.0 / (1.0 - s2[core]))

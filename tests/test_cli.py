@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,14 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jumpdiff
 from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
-from jumpdiff.config import build_kernel, parse_config, resolve_eps_list, solver_config
+from jumpdiff.config import _SCHEMA, build_kernel, parse_config, resolve_eps_list, solver_config
 from jumpdiff.evolve import continuation_in_epsilon, mollify_initial
 from jumpdiff.lattice import Field, Profile, make_grid, sample_profile
 
@@ -182,3 +186,92 @@ def test_snapshot_matches_csv_writer_and_round_trips(tmp_path, dimension, cells)
         stored = [float(row["u"]) for row in csv.DictReader(fh)]
     assert np.array_equal(np.array(stored), field.values)
     assert [np.signbit(x) for x in stored] == list(np.signbit(field.values))
+
+
+SMALL = {"grid.n": "1", "grid.m": "32", "grid.l": "1.0", "kernel.family": "porous_medium",
+         "kernel.m": "2.0", "solver.t": "0.02"}
+
+
+def config_text(base, changes):
+    return "".join(f"{key} = {value}\n" for key, value in {**base, **changes}.items())
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    ("run", {"solver.picard_max_iters": "0"}, "solver: picard_max_iters must be at least 1"),
+    ("run", {"profile.width": "-0.1"}, "profile: profile width -0.1 must lie in (0, period]"),
+    ("run", {"profile.width": "5"}, "profile: profile width 5.0 must lie in (0, period]"),
+    ("run", {"solver.snapshot_every": "-1"}, "solver: snapshot_every must be positive"),
+    ("run", {"solver.r": "-1"}, "solver.r must be positive"),
+    ("run", {"kernel.amplitude": "-1"}, "kernel: amplitude must be positive"),
+    ("run", {"kernel.mu": "compact_bump", "kernel.r0": "-2"}, "kernel: support radius r0 must be positive"),
+    ("run", {"kernel.f": "table", "kernel.f_table": "abc"}, "kernel: f_table must read 'x:y, x:y, ...', got 'abc'"),
+    ("run", {"kernel.f": "table", "kernel.f_table": "0:0"}, "kernel: table needs at least two breakpoints"),
+    ("run", {"kernel.f": "power_abs"}, "kernel: family 'porous_medium' needs a differentiable non-decreasing f"),
+    ("run", {"kernel.family": "nope"}, "kernel: unknown kernel family 'nope'"),
+    ("run", {"profile.kind": "random_bv", "profile.seed": "-1"}, "profile: "),
+    ("run", {"profile.kind": "random_bv", "profile.low": "2"}, "profile: "),
+    ("run", {"grid.m": "3", "grid.l": "4"}, "kernel: epsilon must lie in (0, 1], got 1.33"),
+    ("run", {"solver.dt": "nan"}, "solver.dt: expected a finite number, got 'nan'"),
+    ("run", {"profile.center": "nan"}, "profile.center: expected a finite number, got 'nan'"),
+    ("run", {"profile.center": "inf"}, "profile.center: expected a finite number, got 'inf'"),
+    ("converge", {"solver.eps_list": "abc"}, "solver: could not convert"),
+    ("converge", {"solver.eps_list": "h, 2h"}, "solver: eps_list must be strictly decreasing"),
+    ("converge", {"solver.eps_list": "0.5h"}, "solver: all continuation radii must be at least the lattice spacing"),
+    ("converge", {"solver.eps_list": "2, 1"}, "kernel: epsilon must lie in (0, 1], got 2.0"),
+    ("validate", {"validate.epsilon": "3"}, "validate: epsilon must lie in (0, 1]"),
+])
+def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, changes, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_text(SMALL, changes), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("invalid configuration (1 problem(s)): ")
+    assert message in line
+
+
+@pytest.mark.parametrize("argv", [["run"], ["nope"], []])
+def test_usage_error_exits_config_in_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err).startswith("jumpdiff")
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == EXIT_OK
+    assert "--config" in capsys.readouterr().out
+
+
+def test_threads_is_accepted_with_a_warning_and_changes_nothing(tmp_path, capsys):
+    assert run_cli(tmp_path, IMPLICIT, "a") == EXIT_OK
+    capsys.readouterr()
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text(IMPLICIT + "run.threads = 4\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "8"]) == EXIT_OK
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all("deprecated" in line for line in err)
+    for path in (tmp_path / "a").iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes(), path.name
+
+
+MUTATION_BASE = {**SMALL, "grid.m": "8", "solver.dt": "0.01"}
+MUTATION_VALUES = ("-1", "0", "0.5", "3", "nan", "inf", "abc", "true")
+
+
+# As many examples as key-value pairs: hypothesis then visits each pair once (~5 s in all).
+@settings(max_examples=len(_SCHEMA) * len(MUTATION_VALUES))
+@given(key=st.sampled_from(sorted(_SCHEMA)), value=st.sampled_from(MUTATION_VALUES))
+def test_any_single_key_mutation_exits_cleanly(key, value):
+    """A valid run with one key set to a stock value exits 0, 1 or 3; a failure says why in one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(config_text(MUTATION_BASE, {key: value}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        one_line(err.getvalue())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -37,28 +39,41 @@ kernels = st.one_of(
 
 
 def profiles(grid):
-    """Profiles whose mollifier is no narrower than the lattice spacing, as parsing requires."""
+    """Profiles that sample on ``grid``, as parsing requires.
+
+    The width fits in the period, the seed is non-negative, ``low <= high``,
+    and the mollifier is no narrower than the lattice spacing.
+    """
     return st.builds(
         ProfileConfig, kind=st.sampled_from(Profile._KINDS), center=maybe(numbers),
-        center_y=maybe(numbers), width=maybe(positive), height=numbers, base=numbers, a=numbers,
-        b=numbers, low=numbers, high=numbers, seed=st.integers(-10**6, 10**6),
-        mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
+        center_y=maybe(numbers), width=maybe(st.floats(0.0, grid.period, exclude_min=True)),
+        height=numbers, base=numbers, a=numbers, b=numbers, low=numbers, high=numbers,
+        seed=st.integers(0, 10**6), mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
+    ).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
+
+
+def solvers(grid):
+    """Solver sections whose cutoff radii lie in (0, 1] on ``grid``, as parsing requires.
+
+    The default radius is the spacing, so it must be set where the spacing
+    exceeds 1; the continuation list ``4h, 2h, h`` needs ``4h <= 1``.
+    """
+    return st.builds(
+        SolverSection, integrator=st.sampled_from(["explicit_euler", "backward_euler_picard"]),
+        t=positive, epsilon=maybe(unit) if grid.spacing <= 1.0 else unit, dt=maybe(positive),
+        cfl_theta=unit, cfl_override=st.booleans(), picard_tol=positive,
+        picard_max_iters=st.integers(1, 1000), snapshot_every=maybe(positive),
+        eps_list=maybe(st.just("4h, 2h, h")) if 4.0 * grid.spacing <= 1.0 else st.none(), r=maybe(positive),
     )
 
 
-solvers = st.builds(
-    SolverSection, integrator=st.sampled_from(["explicit_euler", "backward_euler_picard"]),
-    t=positive, epsilon=maybe(unit), dt=maybe(positive), cfl_theta=unit, cfl_override=st.booleans(),
-    picard_tol=positive, picard_max_iters=st.integers(1, 1000), snapshot_every=maybe(positive),
-    eps_list=maybe(st.just("4h, 2h, h")), r=maybe(positive),
-)
 diags = st.builds(DiagSection, slack_norms=positive, slack_tv=positive,
                   slack_contraction=maybe(positive), slack_comparison=maybe(positive))
 validates = st.builds(ValidateSection, r=positive, epsilon=unit, budget=st.integers(1000, 10**6))
 configs = grids.flatmap(lambda grid: st.builds(
     RunConfig, grid=st.just(grid), kernel=kernels, profile=profiles(grid),
-    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers, diag=diags,
-    validate=validates, output_dir=names, seed=st.integers(-10**6, 10**6), threads=st.integers(1, 64),
+    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers(grid), diag=diags,
+    validate=validates, output_dir=names, seed=st.integers(-10**6, 10**6),
 ))
 
 

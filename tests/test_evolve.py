@@ -236,6 +236,12 @@ class TestImplicitDivergence:
         assert info.value.iterations == 2
         assert isinstance(info.value.__cause__, cause)
 
+    def test_empty_iteration_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            step_backward_picard(CTX, box(CTX), DT, TOL, 0)
+        with pytest.raises(ValueError, match="picard_max_iters must be at least 1"):
+            implicit(1, picard_max_iters=0)
+
 
 @pytest.mark.parametrize("dt_factor, max_iters", [(0.5, 60), (8.0, 8)])
 def test_picard_iters_count_every_apply(monkeypatch, dt_factor, max_iters):

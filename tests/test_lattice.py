@@ -195,6 +195,13 @@ class TestProfiles:
         assert np.all(u.values >= 0.0) and np.max(u.values) <= 2.0
         assert math.isfinite(total_variation(u))
 
+    @pytest.mark.parametrize("width", [1e-300, 5e-324])
+    def test_smooth_bump_far_below_spacing_is_its_base(self, width):
+        # Off-center cells only; RuntimeWarnings are errors under the test settings.
+        g = make_grid(1, 8, 1.0)
+        u = sample_profile(Profile(kind="smooth_bump", center=(0.0,), width=width, base=0.5), g)
+        assert np.all(u.values == 0.5)
+
 
 class TestFieldInvariants:
     def test_rejects_nonfinite(self):
