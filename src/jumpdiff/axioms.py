@@ -73,8 +73,10 @@ def _worst(values: np.ndarray, samples: tuple) -> tuple[float, dict]:
     return float(values[i]), witness
 
 
-def check_axiom_settings(R: float, epsilon: float, sample_budget: int) -> None:
+def check_axiom_settings(R: float, epsilon: float, sample_budget: int, seed: int) -> None:
     """Raise ``ValueError`` unless :func:`check_axioms` admits these settings."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if R <= 0:
         raise ValueError("R must be positive")
     if not (0.0 < epsilon <= 1.0):
@@ -91,7 +93,7 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
     structural for this interface (the evaluator only sees ``r``), so it
     always passes.
     """
-    check_axiom_settings(R, epsilon, sample_budget)
+    check_axiom_settings(R, epsilon, sample_budget, seed)
     n = int(sample_budget)
     rng_a1, rng_a2, rng_a3, rng_a5, rng_a6, rng_probe = _rngs(seed, 6)
     reports = []

@@ -265,7 +265,8 @@ def parse_config(text: str) -> RunConfig:
 
     if cfg.solver.r is not None and cfg.solver.r <= 0:
         fail("solver.r", f"solver.r must be positive, got {cfg.solver.r}")
-    built("validate", lambda: check_axiom_settings(cfg.validate.r, cfg.validate.epsilon, cfg.validate.budget))
+    built("validate", lambda: check_axiom_settings(cfg.validate.r, cfg.validate.epsilon, cfg.validate.budget,
+                                                   cfg.seed))
 
     if problems:
         raise ConfigError(problems)

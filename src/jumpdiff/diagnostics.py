@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, GridSpec, mass, norm_lp, total_variation
+from .lattice import Field, GridSpec, Profile, mass, norm_lp, sample_profile, total_variation
 from .operator import OperatorContext, _apply_raw
 
 __all__ = [
@@ -163,18 +163,6 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
     )
 
 
-def _space_bump(grid: GridSpec, center, width: float) -> np.ndarray:
-    pts = grid.cell_centers()
-    L = grid.period
-    d = pts - np.asarray(center)[None, :]
-    d -= L * np.round(d / L)
-    s2 = np.sum((d / width) ** 2, axis=1)
-    out = np.zeros(grid.n_cells)
-    core = s2 < 1.0
-    out[core] = np.exp(1.0 - 1.0 / (1.0 - s2[core]))
-    return out
-
-
 def _time_bump(times: np.ndarray, lo: float, hi: float) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -199,8 +187,8 @@ def make_test_bank(grid: GridSpec, times, count: int = 3) -> list[np.ndarray]:
     bt = _time_bump(times, 0.15 * T, 0.85 * T)
     for k in range(count):
         center = ((0.25 + 0.5 * k / max(count - 1, 1)) * L,) * grid.dimension
-        width = L / (3.0 + k)
-        bx = _space_bump(grid, center, width)
+        radius = L / (3.0 + k)
+        bx = sample_profile(Profile("smooth_bump", center=center, width=2.0 * radius), grid).values
         bank.append(bt[:, None] * bx[None, :])
     return bank
 

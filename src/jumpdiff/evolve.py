@@ -127,8 +127,6 @@ class Trajectory:
     records: list = field(default_factory=list)
     dts: list[float] = field(default_factory=list)
     picard_iters: list[int] = field(default_factory=list)
-    tail_estimate: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def snapshot_count(self) -> int:
         return len(self.times)
@@ -234,12 +232,6 @@ def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
     return 0.0
 
 
-def _resolve_dt(ctx: OperatorContext, config: SolverConfig, snapshot_every: float) -> float:
-    if config.dt is not None:
-        return config.dt
-    return cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
-
-
 def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     """Integrate from ``u0`` to ``config.end_time``, recording snapshots.
 
@@ -256,15 +248,13 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     """
     T = config.end_time
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
-    dt_base = _resolve_dt(ctx, config, snapshot_every)
     explicit = config.integrator == "explicit_euler"
-    max_dt = None
-    if explicit:
+    max_dt = None   # the CFL limit, needed for an explicit step or an unset dt
+    if explicit or config.dt is None:
         max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
+    dt_base = config.dt if config.dt is not None else max_dt
 
-    traj = Trajectory(grid=ctx.grid, tail_estimate=ctx.tail_estimate,
-                      metadata={"integrator": config.integrator, "dt": dt_base,
-                                "epsilon": ctx.epsilon, "R": ctx.bound_R})
+    traj = Trajectory(grid=ctx.grid)
     sup0 = float(np.max(np.abs(u0.values)))
 
     def emit(t, u_field, iters):
@@ -368,7 +358,7 @@ def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_l
     contexts = [build_context(grid, regularize(kernel, e), R) for e in eps_list]
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
     if config.dt is None:
-        dt = min(_resolve_dt(ctx, config, snapshot_every) for ctx in contexts)
+        dt = min(cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every) for ctx in contexts)
         config = replace(config, dt=dt)
 
     trajectories = [run(ctx, u0, config) for ctx in contexts]

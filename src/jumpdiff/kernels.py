@@ -17,7 +17,10 @@ A6  continuity in ``(a, b)`` and local Lipschitz continuity away from the
 Concrete families are built from a scalar nonlinearity and a radial Levy
 density (decoupled form ``F(a, b) * mu(r)``), plus the variable-order family
 ``r^(-N - Psi(|a-b|; r))`` which cannot be decoupled.  Non-negative linear
-combinations stay inside the class (it is a convex cone).
+combinations stay inside the class (it is a convex cone).  The porous-medium
+and p-Laplacian kernels are the identity cases (``phi = id``, ``f = id``) of
+the doubly-nonlinear quotient ``[phi(f(a)-f(b))/(a-b)] mu(r)``; one evaluator
+builds all three.
 
 The majorant of a decoupled kernel is ``F(R) * mu(r)`` with a power-law or
 compact-bump density, so its radial moments (``K_R`` and the truncation
@@ -106,10 +109,6 @@ class ScalarFunction:
 
     def __call__(self, z):
         return self.func(np.asarray(z, dtype=float))
-
-    @property
-    def has_deriv(self) -> bool:
-        return self.deriv is not None
 
 
 def power_odd(m: float) -> ScalarFunction:
@@ -290,7 +289,6 @@ class JumpKernel:
     dim: int | None
     eval_fn: Callable = field(repr=False)
     majorant_fn: Callable = field(repr=False)
-    params: dict = field(default_factory=dict)
     support_radius: float | None = None
     density: LevyDensity | None = None
     majorant_scale: Callable | None = field(default=None, repr=False)
@@ -302,26 +300,13 @@ class JumpKernel:
         return self.majorant_fn(float(R), np.asarray(r, dtype=float))
 
 
-def _diagonal_mask(a, b):
-    return np.abs(a - b) < DIAGONAL_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
-def _difference_quotient(f: ScalarFunction, a, b):
-    """``(f(a) - f(b)) / (a - b)`` with the analytic limit ``f'(a)`` on the diagonal."""
-    small = _diagonal_mask(a, b)
-    denom = np.where(small, 1.0, a - b)
-    quot = (f(a) - f(b)) / denom
-    return np.where(small, f.deriv(a), quot)
-
-
-def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, params: dict) -> JumpKernel:
+def _decoupled(name: str, eval_fn, scale, mu: LevyDensity) -> JumpKernel:
     """A kernel ``F(a, b) mu(r)`` whose majorant is ``scale(R) * mu(r)``."""
     return JumpKernel(
         name=name,
         dim=mu.dim,
         eval_fn=eval_fn,
         majorant_fn=lambda R, r: scale(R) * mu(r),
-        params=params,
         support_radius=mu.support_radius,
         density=mu,
         majorant_scale=scale,
@@ -341,16 +326,67 @@ def make_fractional_heat(alpha: float, amplitude: float = 1.0, dim: int = 1) -> 
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r))
         return np.broadcast_to(mu(r), shape) if shape else mu(r)
 
-    return _decoupled("fractional_heat", ev, lambda R: 1.0, mu, {"alpha": float(alpha), "amplitude": float(amplitude)})
+    return _decoupled("fractional_heat", ev, lambda R: 1.0, mu)
 
 
-def _f_sup_deriv(f: ScalarFunction, R: float) -> float:
-    """Upper bound for ``sup_{|a|,|b|<=R} (f(a)-f(b))/(a-b)``."""
+def _f_sup_deriv(f: ScalarFunction | None, R: float) -> float:
+    """Upper bound for ``sup_{|a|,|b|<=R} (f(a)-f(b))/(a-b)``; 1 for the identity (``f = None``)."""
+    if f is None:
+        return 1.0
     if f.kind == "power_odd":
         return f.param * R ** (f.param - 1.0)
+    if f.kind == "table":
+        # Exact: f' is constant between breakpoints and right-continuous at them.
+        xs = np.array([x for x, _ in f.table])
+        return float(np.max(f.deriv(np.append(-R, xs[(xs >= -R) & (xs < R)]))))
     # generic monotone f: estimate sup f' on a dense grid (documented estimate)
     grid = np.linspace(-R, R, 4097)
     return float(np.max(f.deriv(grid)))
+
+
+def _ratio_sup(phi: ScalarFunction | None, zmax: float) -> float:
+    """Upper bound for ``sup_{|z|<=zmax} |phi(z)/z|``; 1 for the identity (``phi = None``)."""
+    if phi is None:
+        return 1.0
+    lim0 = float(phi.ratio_limit0)
+    if phi.kind == "phi_power":
+        return max(zmax ** (phi.param - 2.0), lim0)
+    # generic phi: estimate the ratio on a dense grid (documented estimate)
+    zs = np.linspace(-zmax, zmax, 4097)
+    zs = zs[np.abs(zs) > 1e-12]
+    return max(float(np.max(np.abs(phi(zs) / zs))), lim0) if zs.size else lim0
+
+
+def _quotient_kernel(name: str, f: ScalarFunction | None, phi: ScalarFunction | None, mu: LevyDensity) -> JumpKernel:
+    """``[phi(f(a)-f(b))/(a-b)] mu(r)``, an ``f`` or ``phi`` of None being the identity.
+
+    Near the diagonal the quotient is its chain limit ``ratio_limit0(phi) * f'(a)``.
+    """
+    label = name.replace("_", "-")
+    if f is not None and f.deriv is None:
+        raise ValueError(f"{label} kernel needs f with a derivative rule; {f.kind!r} has none")
+    if phi is not None and phi.ratio_limit0 is None:
+        raise ValueError(f"{label} kernel needs the limit of phi(z)/z at 0 (ratio_limit0)")
+    lim0 = 1.0 if phi is None else float(phi.ratio_limit0)
+
+    def flux(a, b):
+        """The numerator ``phi(f(a) - f(b))``; an identity is skipped, not applied."""
+        d = a - b if f is None else f(a) - f(b)
+        return d if phi is None else phi(d)
+
+    def quotient(a, b):
+        # a - b is formed twice rather than held: one more batch-sized array alive
+        # at a time made each 1-d M=1024 apply take ~4x the minor page faults.
+        small = np.abs(a - b) < DIAGONAL_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        diag = lim0 if f is None else f.deriv(a) if phi is None else lim0 * f.deriv(a)
+        return np.where(small, diag, flux(a, b) / np.where(small, 1.0, a - b))
+
+    def scale(R):
+        fmax = R if f is None else float(np.max(np.abs(f(np.array([-R, 0.0, R])))))
+        return _ratio_sup(phi, 2.0 * fmax) * _f_sup_deriv(f, R)
+
+    # The quotient's batch temporaries are freed before the product with mu(r).
+    return _decoupled(name, lambda a, b, r: quotient(a, b) * mu(r), scale, mu)
 
 
 def make_porous_medium(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -360,13 +396,7 @@ def make_porous_medium(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     the analytic limit ``f'(a)``.  With ``f(a) = a|a|^(m-1)`` and a power-law
     density this is the fractional porous-medium nonlinearity.
     """
-    if not f.has_deriv:
-        raise ValueError(f"porous-medium kernel needs a scalar function with a derivative rule; {f.kind!r} has none")
-
-    def ev(a, b, r):
-        return _difference_quotient(f, a, b) * mu(r)
-
-    return _decoupled("porous_medium", ev, lambda R: _f_sup_deriv(f, R), mu, {"f": f, "mu": mu})
+    return _quotient_kernel("porous_medium", f, None, mu)
 
 
 def make_convex_diffusion(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -380,7 +410,7 @@ def make_convex_diffusion(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     def scale(R):
         return 2.0 * float(max(f(np.asarray(R)), f(np.asarray(-R))))
 
-    return _decoupled("convex_diffusion", ev, scale, mu, {"f": f, "mu": mu})
+    return _decoupled("convex_diffusion", ev, scale, mu)
 
 
 def make_p_laplacian(phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -389,63 +419,17 @@ def make_p_laplacian(phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     Requires a finite limit of ``phi(z)/z`` at 0 (for the built-in power
     ``phi`` this means p >= 2; p = 2 reduces to the linear kernel).
     """
-    if phi.ratio_limit0 is None:
-        raise ValueError("p-laplacian kernel needs the limit of phi(z)/z at 0 (ratio_limit0)")
-    lim0 = float(phi.ratio_limit0)
-
-    def ev(a, b, r):
-        z = a - b
-        small = _diagonal_mask(a, b)
-        denom = np.where(small, 1.0, z)
-        quot = phi(z) / denom
-        return np.where(small, lim0, quot) * mu(r)
-
-    if phi.kind == "phi_power":
-        p = phi.param
-
-        def fsup(R):
-            return max((2.0 * R) ** (p - 2.0), lim0)
-
-    else:
-        def fsup(R):
-            zs = np.linspace(-2.0 * R, 2.0 * R, 4097)
-            zs = zs[np.abs(zs) > 1e-12]
-            return max(float(np.max(np.abs(phi(zs) / zs))), lim0)
-
-    return _decoupled("p_laplacian", ev, fsup, mu, {"phi": phi, "mu": mu})
+    return _quotient_kernel("p_laplacian", None, phi, mu)
 
 
 def make_doubly_nonlinear(f: ScalarFunction, phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     """Composed kernel ``[phi(f(a)-f(b))/(a-b)] mu(r)``.
 
     Reduces to the porous-medium form for ``phi = identity`` and to the
-    p-laplacian form for ``f = identity``.  Diagonal value is the chain
-    limit ``ratio_limit0(phi) * f'(a)``.
+    p-laplacian form for ``f = identity``, and is built by the same evaluator
+    as both.  Diagonal value is the chain limit ``ratio_limit0(phi) * f'(a)``.
     """
-    if not f.has_deriv:
-        raise ValueError("doubly-nonlinear kernel needs f with a derivative rule")
-    if phi.ratio_limit0 is None:
-        raise ValueError("doubly-nonlinear kernel needs the limit of phi(z)/z at 0")
-    lim0 = float(phi.ratio_limit0)
-
-    def ev(a, b, r):
-        small = _diagonal_mask(a, b)
-        denom = np.where(small, 1.0, a - b)
-        quot = phi(f(a) - f(b)) / denom
-        return np.where(small, lim0 * f.deriv(a), quot) * mu(r)
-
-    def scale(R):
-        fs = _f_sup_deriv(f, R)
-        fmax = float(np.max(np.abs(f(np.array([-R, 0.0, R])))))
-        if phi.kind == "phi_power":
-            ratio_sup = max((2.0 * fmax) ** (phi.param - 2.0), lim0)
-        else:
-            zs = np.linspace(-2.0 * fmax, 2.0 * fmax, 4097)
-            zs = zs[np.abs(zs) > 1e-12]
-            ratio_sup = max(float(np.max(np.abs(phi(zs) / zs))), lim0) if zs.size else lim0
-        return ratio_sup * fs
-
-    return _decoupled("doubly_nonlinear", ev, scale, mu, {"f": f, "phi": phi, "mu": mu})
+    return _quotient_kernel("doubly_nonlinear", f, phi, mu)
 
 
 def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -> JumpKernel:
@@ -475,13 +459,7 @@ def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -
             logr = np.abs(np.log(r))
         return core * np.maximum(1.0, logr)
 
-    return JumpKernel(
-        name="variable_order",
-        dim=dim,
-        eval_fn=ev,
-        majorant_fn=maj,
-        params={"A1": float(A1), "A2": float(A2), "psi1": psi1, "psi2": psi2, "theta": theta},
-    )
+    return JumpKernel(name="variable_order", dim=dim, eval_fn=ev, majorant_fn=maj)
 
 
 def make_zero_kernel(dim: int | None = None) -> JumpKernel:
@@ -519,7 +497,6 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
         dim=dim,
         eval_fn=ev,
         majorant_fn=maj,
-        params={"alpha": float(alpha), "beta": float(beta), "k1": k1, "k2": k2},
         support_radius=support,
     )
 
@@ -576,10 +553,6 @@ class RegularizedKernel:
         out = np.where(active, raw, 0.0) * ramp
         return out if out.ndim else float(out)
 
-    def majorant(self, R: float, r):
-        r = np.asarray(r, dtype=float)
-        return self.base.majorant_fn(float(R), r) * (r >= self.epsilon)
-
 
 def regularize(kernel: JumpKernel, epsilon: float) -> RegularizedKernel:
     """Compose a kernel with the ramp/cutoff pair at scale ``epsilon``."""
@@ -613,21 +586,17 @@ def _checked_quad(f, lo, hi) -> float:
     return float(value)
 
 
-def majorant_moment(kernel, R: float, lo: float, hi: float, power: float) -> float:
+def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: float) -> float:
     """Radial integral ``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` of the majorant.
 
     Exact (:meth:`LevyDensity.radial_moment`) for a kernel with a
     ``density``; adaptive quadrature otherwise, up to the kernel's support
     radius.  A divergent integral raises :class:`QuadratureDivergenceError`.
     """
-    density = getattr(kernel, "density", None)
-    if density is not None:
-        return kernel.majorant_scale(float(R)) * density.radial_moment(lo, hi, power)
-    support = getattr(kernel, "support_radius", None)
-    if support is None:
-        support = getattr(getattr(kernel, "base", None), "support_radius", None)
-    if support is not None:
-        hi = min(hi, support)
+    if kernel.density is not None:
+        return kernel.majorant_scale(float(R)) * kernel.density.radial_moment(lo, hi, power)
+    if kernel.support_radius is not None:
+        hi = min(hi, kernel.support_radius)
     dim = kernel.dim if kernel.dim is not None else 1
     area = _SPHERE_AREA[dim]
 

@@ -73,11 +73,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.spacing**self.dimension
 
-    @property
-    def half_diameter(self) -> float:
-        """Largest minimal-image distance between any two cell centers."""
-        return 0.5 * self.period * math.sqrt(self.dimension)
-
     def axis_coordinates(self) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         h = self.spacing
@@ -168,9 +163,6 @@ class Field:
 
     def reshaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
 
 
 def norm_lp(u: Field, p: float) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,24 @@ def subquadratic_phi_violator():
     return make_p_laplacian(phi, compact_bump_density(1e9, dim=1))
 
 
+def asymmetric_violator():
+    """The fractional-heat kernel halved below the diagonal a = b: breaks symmetry A2."""
+    heat = make_fractional_heat(0.5, 1.0, dim=1)
+    return replace(heat, eval_fn=lambda a, b, r: np.where(a > b, 1.0, 0.5) * heat.eval_fn(a, b, r))
+
+
+def non_monotone_phi_violator():
+    """phi(z) = z exp(-100 z^2) falls beyond |z| = 0.07: breaks monotonicity A3."""
+    phi = custom_function(lambda z: z * np.exp(-100.0 * z * z), ratio_limit0=1.0)
+    return make_p_laplacian(phi, compact_bump_density(1e9, dim=1))
+
+
+def majorant_violator():
+    """Twice the fractional-heat kernel under its majorant: breaks domination A5."""
+    heat = make_fractional_heat(0.5, 1.0, dim=1)
+    return replace(heat, eval_fn=lambda a, b, r: 2.0 * heat.eval_fn(a, b, r))
+
+
 def by_axiom(reports):
     return {r.axiom: r for r in reports}
 
@@ -80,6 +100,17 @@ class TestPlantedViolators:
         r = reports["A6"]
         assert r.verdict == "fail"
         assert replay_violation(k, r) > 1.0  # ratio far above any bounded constant
+
+    @pytest.mark.parametrize("make, axiom", [
+        (asymmetric_violator, "A2"),
+        (non_monotone_phi_violator, "A3"),
+        (majorant_violator, "A5"),
+    ])
+    def test_planted_violation_replays_above_tolerance(self, make, axiom):
+        k = make()
+        r = by_axiom(check_axioms(k, R=1.0, epsilon=0.1, sample_budget=2000, seed=0))[axiom]
+        assert r.verdict == "fail"
+        assert replay_violation(k, r) > r.tolerance
 
 
 class TestDeterminismAndNesting:

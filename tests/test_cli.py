@@ -219,6 +219,8 @@ def config_text(base, changes):
     ("converge", {"solver.eps_list": "0.5h"}, "solver: all continuation radii must be at least the lattice spacing"),
     ("converge", {"solver.eps_list": "2, 1"}, "kernel: epsilon must lie in (0, 1], got 2.0"),
     ("validate", {"validate.epsilon": "3"}, "validate: epsilon must lie in (0, 1]"),
+    ("validate", {"run.seed": "-1"}, "validate: seed must be non-negative, got -1"),
+    ("converge", {"grid.l": "3", "grid.m": "8"}, "solver.eps_list: default radii 4h, 2h, h: epsilon must lie"),
 ])
 def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, changes, message):
     cfg = tmp_path / "bad.cfg"
@@ -227,6 +229,13 @@ def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, cha
     line = one_line(capsys.readouterr().err)
     assert line.startswith("invalid configuration (1 problem(s)): ")
     assert message in line
+
+
+def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(config_text(SMALL, {}), encoding="utf-8")
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed: seed must be non-negative" in one_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [["run"], ["nope"], []])

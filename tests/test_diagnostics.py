@@ -1,9 +1,13 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpdiff.diagnostics import record
-from jumpdiff.lattice import Field, bv_norm, make_grid
+from jumpdiff.diagnostics import make_test_bank, record, weak_residual
+from jumpdiff.evolve import SolverConfig, run
+from jumpdiff.kernels import make_fractional_heat, make_zero_kernel, regularize
+from jumpdiff.lattice import Field, Profile, bv_norm, make_grid, sample_profile
+from jumpdiff.operator import build_context
 
 
 @given(st.sampled_from([(1, 37), (2, 9)]), st.integers(0, 2**32 - 1))
@@ -11,3 +15,32 @@ def test_record_bv_equals_bv_norm_exactly(shape, seed):
     grid = make_grid(*shape, 2.0)
     field = Field(grid, np.random.default_rng(seed).normal(size=grid.n_cells))
     assert record(None, 0.0, field).bv == bv_norm(field)
+
+
+class TestWeakResidual:
+    GRID = make_grid(1, 32, 1.0)
+    U0 = sample_profile(Profile("random_bv", seed=3), GRID)
+
+    def zero_kernel_run(self):
+        ctx = build_context(self.GRID, regularize(make_zero_kernel(1), self.GRID.spacing), 1.0)
+        return ctx, run(ctx, self.U0, SolverConfig(end_time=0.2, dt=0.01, snapshot_every=0.01))
+
+    def test_stationary_run_has_no_residual(self):
+        ctx, traj = self.zero_kernel_run()
+        assert weak_residual(traj, ctx, make_test_bank(self.GRID, traj.times)) <= 1e-15
+
+    def test_implicit_heat_residual_is_first_order_in_dt(self):
+        ctx = build_context(self.GRID, regularize(make_fractional_heat(0.5), self.GRID.spacing), 1.0)
+        residuals = []
+        for dt in (0.004, 0.002, 0.001):
+            traj = run(ctx, self.U0, SolverConfig(end_time=0.2, dt=dt, snapshot_every=dt))
+            residuals.append(weak_residual(traj, ctx, make_test_bank(self.GRID, traj.times)))
+        r1, r2, r3 = residuals
+        assert 1.8 < r1 / r2 < 2.2
+        assert 1.8 < r2 / r3 < 2.2
+
+    def test_rejects_non_uniform_snapshots(self):
+        ctx, traj = self.zero_kernel_run()
+        traj.times[2] += 0.001
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            weak_residual(traj, ctx, make_test_bank(self.GRID, traj.times))

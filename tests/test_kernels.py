@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpdiff.axioms import check_axioms
+from jumpdiff.axioms import VIOLATION_RTOL, check_axioms
 from jumpdiff.kernels import (
     JumpKernel,
     LevyDensity,
@@ -28,8 +28,8 @@ from jumpdiff.kernels import (
     smooth_ramp,
     table_function,
 )
-from jumpdiff.lattice import make_grid, offset_distances
-from jumpdiff.operator import build_context
+from jumpdiff.lattice import Profile, make_grid, offset_distances, sample_profile
+from jumpdiff.operator import build_context, max_row_sum
 
 MU1 = compact_bump_density(1e9, dim=1)  # mu == 1 on every relevant distance
 
@@ -397,3 +397,20 @@ class TestTableFunction:
             table_function([(0.0, 1.0)])
         with pytest.raises(ValueError):
             table_function([(0.0, 1.0), (0.0, 2.0)])
+
+    # Slope 100 on [1e-4, 2e-4], a segment narrower than the spacing of a
+    # 4097-point grid on [-1, 1]; elsewhere the slopes are 1 and 8e-4.
+    NARROW = table_function([(-1.0, -1.0), (1e-4, 1e-4), (2e-4, 0.0101), (1.0, 0.0109)])
+
+    def test_narrow_segment_stays_under_the_majorant(self):
+        k = make_porous_medium(self.NARROW, MU1)
+        value = k.eval(1.5e-4, 1.2e-4, 1.0)
+        assert value == pytest.approx(100.0, rel=1e-12)
+        assert value - k.majorant(1.0, 1.0) <= VIOLATION_RTOL * value
+
+    def test_narrow_segment_row_sums_within_certified_bound(self):
+        g = make_grid(1, 256, 1.0)
+        reg = regularize(make_porous_medium(self.NARROW, power_law_density(0.5, dim=1)), g.spacing)
+        # Neighbours 1.1 h apart straddle the steep segment, and the ramp is 1 there.
+        v = sample_profile(Profile("two_level", level_a=0.0, level_b=1.1 * g.spacing), g)
+        assert max_row_sum(build_context(g, reg, 1.0), v) <= regular_bound_M(reg, 1.0, g)
