@@ -8,8 +8,10 @@ Exit codes form a small contract for CI use:
   lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
-  an implicit step that still diverged after 10 dt halvings, a broken
-  sup-norm guard) or a run's structural check failed.
+  a certified row-sum bound that leaves no positive dt, an implicit step
+  that still diverged after 10 dt halvings, a non-finite kernel value in
+  an explicit step, a broken sup-norm guard) or a run's structural check
+  failed.
 
 Each failure prints a one-line message on stderr, never a traceback.
 
@@ -57,7 +59,7 @@ from .evolve import (
 )
 from .kernels import regularize
 from .lattice import Field, GridSpec, sample_profile
-from .operator import EmptyNeighborhoodError, build_context
+from .operator import EmptyNeighborhoodError, build_context, neighborhood
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -242,15 +244,11 @@ def cmd_compare(args) -> int:
 
     slack = _contraction_slack(cfg, traj_u)
     results = [check_contraction(traj_u, traj_v, slack)]
-    ordered = bool(np.all(u0.values <= v0.values)) or bool(np.all(v0.values <= u0.values))
-    if ordered:
-        lo, hi = (traj_u, traj_v) if np.all(u0.values <= v0.values) else (traj_v, traj_u)
-        comp_slack = cfg.diag.slack_comparison if cfg.diag.slack_comparison is not None else slack
-        try:
-            results.append(check_comparison(lo, hi, comp_slack))
-        except OrderingError as exc:  # pragma: no cover - guarded above
-            print(f"comparison skipped: {exc}", file=sys.stderr)
-    else:
+    lo, hi = (traj_u, traj_v) if np.all(u0.values <= v0.values) else (traj_v, traj_u)
+    comp_slack = cfg.diag.slack_comparison if cfg.diag.slack_comparison is not None else slack
+    try:
+        results.append(check_comparison(lo, hi, comp_slack))
+    except OrderingError:
         print("initial profiles are not ordered; comparison skipped, contraction still checked")
 
     hn = cfg.grid.cell_volume
@@ -271,11 +269,13 @@ def cmd_converge(args) -> int:
     sc = solver_config(cfg)
     u0 = _initial_field(cfg.profile, cfg.grid)
     eps_list = resolve_eps_list(cfg)
-    try:   # parse_config built the radii of solver.eps_list, but not its default 4h, 2h, h
-        for eps in eps_list:
-            regularize(kernel, eps)
-    except ValueError as exc:
-        raise ConfigError([(None, f"solver.eps_list: default radii 4h, 2h, h: {exc}; set solver.eps_list")]) from exc
+    if cfg.solver.eps_list is None:   # parse_config built the configured radii, not the default 4h, 2h, h
+        try:
+            for eps in eps_list:
+                regularize(kernel, eps)
+                neighborhood(cfg.grid, eps)
+        except ValueError as exc:
+            raise ConfigError([(None, f"solver.eps_list: default radii 4h, 2h, h: {exc}; set solver.eps_list")]) from exc
     try:
         _, table = continuation_in_epsilon(cfg.grid, kernel, u0, eps_list, sc, R=cfg.solver.r)
     except SolverAbortError as exc:

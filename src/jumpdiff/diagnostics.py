@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Field, GridSpec, Profile, mass, norm_lp, sample_profile, total_variation
+from .lattice import Field, GridSpec, Profile, bump, mass, norm_lp, sample_profile, total_variation
 from .operator import OperatorContext, _apply_raw
 
 __all__ = [
@@ -163,16 +163,6 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
     )
 
 
-def _time_bump(times: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    s2 = ((times - mid) / half) ** 2
-    out = np.zeros_like(times)
-    core = s2 < 1.0
-    out[core] = np.exp(1.0 - 1.0 / (1.0 - s2[core]))
-    return out
-
-
 def make_test_bank(grid: GridSpec, times, count: int = 3) -> list[np.ndarray]:
     """Product bumps ``psi(t, x)`` sampled on the snapshot/cell lattice.
 
@@ -184,7 +174,8 @@ def make_test_bank(grid: GridSpec, times, count: int = 3) -> list[np.ndarray]:
     T = times[-1]
     L = grid.period
     bank = []
-    bt = _time_bump(times, 0.15 * T, 0.85 * T)
+    lo, hi = 0.15 * T, 0.85 * T
+    bt = bump(((times - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)
     for k in range(count):
         center = ((0.25 + 0.5 * k / max(count - 1, 1)) * L,) * grid.dimension
         radius = L / (3.0 + k)

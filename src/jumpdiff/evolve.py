@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .kernels import JumpKernel, RegularizedKernel, regular_bound_M, regularize
-from .lattice import Field, GridSpec, Profile, norm_lp, sample_profile
+from .lattice import Field, GridSpec, bump, offset_distances
 from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
 
 __all__ = [
@@ -136,13 +136,20 @@ class Trajectory:
 
 
 def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) -> float:
-    """Stable explicit step ``theta / (2 M_R)``; ``fallback`` if the bound is 0."""
+    """Stable explicit step ``theta / (2 M_R)``; ``fallback`` if the bound is 0.
+
+    Raises :class:`SolverAbortError` when that step is not positive, as for
+    a bound ``M_R`` beyond the float range: no time step is certified.
+    """
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")
     m_bound = regular_bound_M(ctx.regkernel, R, ctx.grid)
     if m_bound <= 0.0:
         return fallback
-    return theta / (2.0 * m_bound)
+    dt = theta / (2.0 * m_bound)
+    if not dt > 0.0:
+        raise SolverAbortError(f"the certified row-sum bound M_R = {m_bound:g} leaves no positive stable dt")
+    return dt
 
 
 def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | None = None,
@@ -239,7 +246,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     time, snapped to the nearest completed step; the first snapshot is
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
-    partial trajectory attached.
+    partial trajectory attached, as does a non-finite kernel value in an
+    explicit step.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
@@ -268,24 +276,21 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     u = u0
     t = 0.0
     next_snap = snapshot_every
-    step_index = 0
     iters = 0   # fixed-point iterations since the last snapshot
     while t < T * (1.0 - 1e-14):
         dt = min(dt_base, T - t)
         if explicit:
-            u_next = step_explicit(ctx, u, dt, max_dt=max_dt,
-                                   allow_cfl_violation=config.cfl_override)
+            try:
+                u_next = step_explicit(ctx, u, dt, max_dt=max_dt, allow_cfl_violation=config.cfl_override)
+            except NonFiniteKernelError as exc:
+                raise SolverAbortError(f"explicit step from t = {t:g}: {exc}", traj) from exc
         else:
             u_next, k = _implicit_step_with_retries(ctx, u, dt, config, traj)
             iters += k
         t += dt
-        step_index += 1
         traj.dts.append(dt)
 
-        vals = u_next.values
-        if not np.all(np.isfinite(vals)):
-            raise SolverAbortError(f"non-finite field values after step {step_index} (t = {t:g})", traj)
-        sup = float(np.max(np.abs(vals)))
+        sup = float(np.max(np.abs(u_next.values)))
         if sup > sup0 + SUP_NORM_SLACK:
             raise SolverAbortError(
                 f"sup norm grew from {sup0:g} to {sup:g} at t = {t:g}; "
@@ -376,35 +381,21 @@ def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_l
     return trajectories, table
 
 
-def mollify_initial(u0, grid: GridSpec, mollifier_width: float) -> Field:
-    """Smooth a field (or profile) by periodic convolution with a bump.
+def mollify_initial(u0: Field, grid: GridSpec, mollifier_width: float) -> Field:
+    """Smooth a field by periodic convolution with a bump of radius ``mollifier_width``.
 
-    The discrete mollifier is non-negative with unit sum, so the result is
-    a convex combination of shifted copies: the sup norm cannot grow and
-    the mass is preserved to roundoff.
+    The weight of a cell is the bump at its torus distance, one weight per
+    lattice offset.  The discrete mollifier is non-negative with unit sum,
+    so the result is a convex combination of shifted copies: the sup norm
+    cannot grow and the mass is preserved to roundoff.
     """
-    if isinstance(u0, Profile):
-        u0 = sample_profile(u0, grid)
     h = grid.spacing
     if mollifier_width < h:
         raise ValueError(f"mollifier width {mollifier_width:g} must be at least the spacing {h:g}")
-
-    m = grid.cells_per_axis
-    reach = int(math.floor(mollifier_width / h))
-    axis_offsets = np.arange(-min(reach, m // 2), min(reach, m // 2) + 1)
-    v = u0.reshaped()
-    if grid.dimension == 1:
-        offsets = axis_offsets[:, None]
-    else:
-        o1, o2 = np.meshgrid(axis_offsets, axis_offsets, indexing="ij")
-        offsets = np.column_stack([o1.ravel(), o2.ravel()])
-    radii = np.hypot(*(offsets * h).T) if grid.dimension == 2 else np.abs(offsets[:, 0] * h)
-    s2 = (radii / mollifier_width) ** 2
-    weights = np.where(s2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - s2, 1e-300)), 0.0)
+    weights = bump((offset_distances(grid) / mollifier_width) ** 2)
     weights /= math.fsum(weights)
+    v = u0.reshaped()
     out = np.zeros_like(v)
-    for off, w in zip(offsets, weights):
-        if w == 0.0:
-            continue
-        out += w * np.roll(v, shift=tuple(int(o) for o in off), axis=tuple(range(grid.dimension)))
+    for o in np.flatnonzero(weights):
+        out += weights[o] * np.roll(v, shift=np.unravel_index(o, grid.shape), axis=tuple(range(grid.dimension)))
     return Field(grid, out.ravel())

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import GridSpec, offset_distances
+from .lattice import GridSpec, cutoff_mask, offset_distances
 
 __all__ = [
     "ScalarFunction",
@@ -639,7 +639,8 @@ def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec | Non
     Combines the analytic bound ``eps^-1 K_R`` with, when a grid is given,
     the direct lattice sum of the majorant over offsets with ``r >= eps``
     (whichever is smaller).  Every actual row sum with field values in
-    ``[-R, R]`` is dominated by both.
+    ``[-R, R]`` is dominated by both.  A sum beyond the float range is
+    ``inf``.
     """
     eps = regkernel.epsilon
     try:
@@ -649,9 +650,10 @@ def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec | Non
         analytic = math.inf
     if grid is None:
         return analytic
-    dists = offset_distances(grid)
-    keep = dists >= eps
-    keep[0] = False
-    maj = np.asarray(regkernel.base.majorant(R, dists[keep]), dtype=float)
-    lattice_sum = float(math.fsum(maj) * grid.cell_volume)
+    with np.errstate(over="ignore"):   # a term beyond the float range is inf, and so is the sum
+        maj = np.asarray(regkernel.base.majorant(R, offset_distances(grid)[cutoff_mask(grid, eps)]), dtype=float)
+    try:
+        lattice_sum = float(math.fsum(maj) * grid.cell_volume)
+    except OverflowError:   # finite terms whose exact sum overflows
+        lattice_sum = math.inf
     return min(analytic, lattice_sum)

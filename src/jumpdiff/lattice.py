@@ -30,7 +30,9 @@ __all__ = [
     "make_grid",
     "torus_distance",
     "offset_distances",
+    "cutoff_mask",
     "neighbor_windows",
+    "bump",
     "norm_lp",
     "total_variation",
     "bv_norm",
@@ -127,6 +129,14 @@ def offset_distances(grid: GridSpec) -> np.ndarray:
     if grid.dimension == 1:
         return d1.astype(float)
     return np.hypot(d1[:, None], d1[None, :]).ravel()
+
+
+def cutoff_mask(grid: GridSpec, epsilon: float) -> np.ndarray:
+    """The flat offsets at torus distance ``>= epsilon``, never offset 0: the one pair set
+    that the operator, the certified row-sum bound and the regularity checks sum over."""
+    keep = offset_distances(grid) >= epsilon
+    keep[0] = False
+    return keep
 
 
 def neighbor_windows(values: np.ndarray, lattice_axes: int | None = None) -> np.ndarray:
@@ -253,6 +263,15 @@ class Profile:
             raise ValueError(f"unknown profile kind {self.kind!r}")
 
 
+def bump(s2) -> np.ndarray:
+    """The smooth compact bump ``exp(1 - 1/(1 - s2))`` of a squared radius ``s2``; 0 where ``s2 >= 1``."""
+    s2 = np.asarray(s2, dtype=float)
+    out = np.zeros(s2.shape)
+    core = s2 < 1.0
+    out[core] = np.exp(1.0 - 1.0 / (1.0 - s2[core]))
+    return out
+
+
 def _centered_offsets(grid: GridSpec, center: tuple[float, ...]) -> np.ndarray:
     """(n_cells, dim) minimal-image displacement of each center from ``center``."""
     pts = grid.cell_centers()
@@ -280,10 +299,7 @@ def sample_profile(profile: Profile, grid: GridSpec) -> Field:
             # underflowed width / 2); those cells fall outside the core anyway.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 s2 = np.sum((d / (width / 2)) ** 2, axis=1)
-            values = np.zeros(grid.n_cells)
-            core = s2 < 1.0
-            values[core] = profile.height * np.exp(1.0 - 1.0 / (1.0 - s2[core]))
-            values += profile.base
+            values = profile.height * bump(s2) + profile.base
         return Field(grid, values)
 
     if profile.kind == "step":

@@ -34,12 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import QuadratureDivergenceError, RegularizedKernel, levy_constant, majorant_moment
-from .lattice import Field, GridSpec, bv_norm, neighbor_windows, norm_lp, offset_distances
+from .lattice import Field, GridSpec, bv_norm, cutoff_mask, neighbor_windows, norm_lp, offset_distances
 
 __all__ = [
     "OperatorContext",
     "NonFiniteKernelError",
     "EmptyNeighborhoodError",
+    "neighborhood",
     "build_context",
     "apply",
     "bilinear_form",
@@ -78,14 +79,8 @@ class OperatorContext:
     grid: GridSpec
     regkernel: RegularizedKernel
     bound_R: float
-    offsets: np.ndarray = field(repr=False)      # flat lattice offsets with r >= eps
-    distances: np.ndarray = field(repr=False)    # minimal-image distance per offset
     batches: tuple = field(repr=False, compare=False)    # _Batch tuple: one of each offset pair +-o
     tail_estimate: float = 0.0
-
-    @property
-    def epsilon(self) -> float:
-        return self.regkernel.epsilon
 
 
 def _plane(grid: GridSpec, x: np.ndarray) -> np.ndarray:
@@ -126,6 +121,17 @@ def _tail_estimate(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> fl
         return math.inf
 
 
+def neighborhood(grid: GridSpec, epsilon: float) -> np.ndarray:
+    """``lattice.cutoff_mask(grid, epsilon)``; raises :class:`EmptyNeighborhoodError` if it keeps nothing."""
+    keep = cutoff_mask(grid, epsilon)
+    if not keep.any():
+        raise EmptyNeighborhoodError(
+            f"empty neighborhood: epsilon = {epsilon:g} exceeds the largest torus distance "
+            f"{offset_distances(grid).max():g}"
+        )
+    return keep
+
+
 def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> OperatorContext:
     """Precompute the neighbor geometry for ``apply`` and the functionals.
 
@@ -147,24 +153,11 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
             "the spatial cutoff removes no pairs",
             stacklevel=2,
         )
-    dists = offset_distances(grid)
-    keep = dists >= eps
-    keep[0] = False
-    offsets = np.nonzero(keep)[0].astype(np.int64)
-    if offsets.size == 0:
-        raise EmptyNeighborhoodError(
-            f"empty neighborhood: epsilon = {eps:g} exceeds the largest torus distance "
-            f"{dists.max():g}"
-        )
-    distances = dists[offsets]
-
     return OperatorContext(
         grid=grid,
         regkernel=regkernel,
         bound_R=float(R),
-        offsets=offsets,
-        distances=distances,
-        batches=_offset_batches(grid, keep, half=True),
+        batches=_offset_batches(grid, neighborhood(grid, eps), half=True),
         tail_estimate=_tail_estimate(regkernel, R, grid),
     )
 
@@ -215,11 +208,12 @@ def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray
     return acc.ravel()
 
 
-def _check_fields(ctx: OperatorContext, *fields: Field) -> None:
-    for f in fields:
+def _check_fields(ctx: OperatorContext, coefficients: tuple, *others: Field) -> None:
+    """Every field must live on the context's grid; the kernel's arguments ``coefficients`` should stay within R."""
+    for f in coefficients + others:
         if f.grid != ctx.grid:
             raise ValueError("field grid does not match operator context")
-    vmax = max(float(np.max(np.abs(f.values))) for f in fields)
+    vmax = max(float(np.max(np.abs(f.values))) for f in coefficients)
     if vmax > ctx.bound_R * (1.0 + 1e-12):
         warnings.warn(
             f"field sup-norm {vmax:g} exceeds the bound R = {ctx.bound_R:g} used to build "
@@ -235,7 +229,7 @@ def apply(ctx: OperatorContext, v: Field, u: Field) -> Field:
     vanishes up to roundoff (antisymmetric pairing), and the evaluation
     commutes bitwise with simultaneous shifts of ``v`` and ``u``.
     """
-    _check_fields(ctx, v, u)
+    _check_fields(ctx, (v,), u)
     return Field(ctx.grid, _apply_raw(ctx, v.values, u.values))
 
 
@@ -246,7 +240,7 @@ def bilinear_form(ctx: OperatorContext, v: Field, phi: Field, psi: Field) -> flo
     with ``phi = psi`` every term is non-negative, so the value is a sum of
     non-negative floats.
     """
-    _check_fields(ctx, v, phi, psi)
+    _check_fields(ctx, (v,), phi, psi)
     hn = ctx.grid.cell_volume
     fp, sp = _plane(ctx.grid, phi.values), _plane(ctx.grid, psi.values)
     f_nb, s_nb = neighbor_windows(fp), neighbor_windows(sp)
@@ -264,7 +258,7 @@ def kato_functional(ctx: OperatorContext, u: Field, v: Field) -> float:
     monotonicity; this is the discrete Kato inequality that drives the
     L^1 contraction and comparison properties of the implicit scheme.
     """
-    _check_fields(ctx, u, v)
+    _check_fields(ctx, (u, v))
     lu = _apply_raw(ctx, u.values, u.values)
     lv = _apply_raw(ctx, v.values, v.values)
     sgn = np.sign(u.values - v.values)
@@ -278,7 +272,7 @@ def l1_operator_bound_check(ctx: OperatorContext, v: Field, u: Field) -> tuple[f
     slack); equality of scales is the discrete form of the L^1 operator
     bound.
     """
-    _check_fields(ctx, v, u)
+    _check_fields(ctx, (v,), u)
     lhs = norm_lp(apply(ctx, v, u), 1)
     k_r, _ = levy_constant(ctx.regkernel.base, ctx.bound_R)
     return lhs, k_r * bv_norm(u)
@@ -286,7 +280,7 @@ def l1_operator_bound_check(ctx: OperatorContext, v: Field, u: Field) -> tuple[f
 
 def max_row_sum(ctx: OperatorContext, v: Field) -> float:
     """Largest assembled row sum ``max_i sum_j m_eps(v_i, v_j; r_ij) h^N``."""
-    _check_fields(ctx, v)
+    _check_fields(ctx, (v,))
     hn = ctx.grid.cell_volume
     rows = sum(w.sum(axis=0) + _scatter(w, b) for b, w in _pair_weights(ctx, v.values))
     return float(rows.max()) * hn

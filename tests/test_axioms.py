@@ -113,6 +113,27 @@ class TestPlantedViolators:
         assert replay_violation(k, r) > r.tolerance
 
 
+PLANTED_VIOLATORS = (non_monotone_violator, subquadratic_phi_violator, asymmetric_violator,
+                     non_monotone_phi_violator, majorant_violator)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_failures_replay_to_their_worst_violation(seed):
+    """Replay evaluates the very measure the check took the worst of, at the witness."""
+    failed = set()
+    for make in PLANTED_VIOLATORS:
+        k = make()
+        for r in check_axioms(k, R=1.0, epsilon=0.1, sample_budget=2000, seed=seed):
+            if r.verdict == "fail" and r.axiom in ("A1", "A2", "A3", "A5"):
+                failed.add(r.axiom)
+                assert replay_violation(k, r) == pytest.approx(r.worst_violation, rel=1e-12), (k.name, r.axiom)
+    assert failed == {"A1", "A2", "A3", "A5"}
+    k = make_fractional_heat(0.5, 1.0, dim=1)
+    r = by_axiom(check_regular(k, make_grid(1, 16, 4.0), R=1.0, seed=seed))["B1"]
+    assert r.verdict == "fail"
+    assert replay_violation(k, r) == pytest.approx(r.worst_violation, rel=1e-12)
+
+
 class TestDeterminismAndNesting:
     def test_same_seed_same_reports(self):
         k = zoo_kernels()[1]

@@ -147,6 +147,23 @@ def test_mollifier_below_spacing_exits_config(tmp_path, capsys, command, key):
     assert f"{key} = 0.001 is below the lattice spacing" in line
 
 
+@pytest.mark.parametrize("profile_b, checks", [
+    ("profile_b.center = 0.5\nprofile_b.height = 2.0\n", ["l1_contraction", "comparison"]),   # u0 <= v0
+    ("profile_b.center = 0.5\nprofile_b.height = 0.5\n", ["l1_contraction", "comparison"]),   # v0 <= u0
+    ("profile_b.center = 0.55\n", ["l1_contraction"]),                                    # crossing boxes
+])
+def test_compare_checks_comparison_only_on_ordered_profiles(tmp_path, capsys, profile_b, checks):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(COMPARE.replace("profile_b.center = 0.55\n", profile_b), encoding="utf-8")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "compare_checks.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["check"] for row in rows] == checks
+    assert all(row["verdict"] == "pass" for row in rows)
+    skipped = "initial profiles are not ordered; comparison skipped" in capsys.readouterr().out
+    assert skipped == ("comparison" not in checks)
+
+
 def test_converge_mollifies_the_profile(tmp_path):
     text = COMPARE + "solver.eps_list = 2h, h\n"
     cfg_path = tmp_path / "converge.cfg"
@@ -221,6 +238,8 @@ def config_text(base, changes):
     ("validate", {"validate.epsilon": "3"}, "validate: epsilon must lie in (0, 1]"),
     ("validate", {"run.seed": "-1"}, "validate: seed must be non-negative, got -1"),
     ("converge", {"grid.l": "3", "grid.m": "8"}, "solver.eps_list: default radii 4h, 2h, h: epsilon must lie"),
+    ("converge", {"grid.l": "1", "grid.m": "4"},
+     "solver.eps_list: default radii 4h, 2h, h: empty neighborhood: epsilon = 1 exceeds the largest torus distance 0.5"),
 ])
 def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, changes, message):
     cfg = tmp_path / "bad.cfg"
@@ -229,6 +248,18 @@ def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, cha
     line = one_line(capsys.readouterr().err)
     assert line.startswith("invalid configuration (1 problem(s)): ")
     assert message in line
+
+
+@pytest.mark.parametrize("amplitude", ["1e306", "1e308"])
+@pytest.mark.parametrize("command, integrator", [("run", "explicit_euler"), ("run", "backward_euler_picard"),
+                                                 ("converge", "backward_euler_picard")])
+def test_non_finite_certified_bound_aborts_in_one_line(tmp_path, capsys, amplitude, command, integrator):
+    """1e306: the lattice sum behind M_R overflows; 1e308: its terms do.  Either way no dt > 0 is certified."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config_text(SMALL, {"kernel.family": "fractional_heat", "kernel.amplitude": amplitude,
+                                       "solver.t": "0.01", "solver.integrator": integrator}), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
 
 
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):

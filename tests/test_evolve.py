@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from jumpdiff.evolve import (
     SolverAbortError,
     SolverConfig,
     cfl_dt,
+    mollify_initial,
     run,
     step_backward_picard,
 )
@@ -22,7 +26,7 @@ from jumpdiff.kernels import (
     regular_bound_M,
     regularize,
 )
-from jumpdiff.lattice import Field, Profile, make_grid, mass, sample_profile
+from jumpdiff.lattice import Field, Profile, make_grid, mass, sample_profile, torus_distance
 from jumpdiff.operator import NonFiniteKernelError, apply, build_context
 
 TOL = SolverConfig().picard_tol
@@ -259,3 +263,34 @@ def test_picard_iters_count_every_apply(monkeypatch, dt_factor, max_iters):
                                            picard_max_iters=max_iters))
     assert len(traj.dts) > traj.snapshot_count()
     assert sum(traj.picard_iters) == sum(r.picard_iters for r in traj.records) == applies
+
+
+def test_explicit_step_on_a_non_finite_kernel_value_aborts_with_the_trajectory():
+    heat = make_fractional_heat(0.5)
+    blowup = replace(heat, eval_fn=lambda a, b, r: np.where(np.maximum(a, b) > 0.5, np.inf, 1.0) * heat.eval_fn(a, b, r))
+    ctx = explicit_context(blowup)
+    with pytest.raises(SolverAbortError, match="not finite") as info:
+        run(ctx, box(ctx), SolverConfig(integrator="explicit_euler", end_time=1.0))
+    assert info.value.trajectory.times == [0.0]
+    assert isinstance(info.value.__cause__, NonFiniteKernelError)
+
+
+def mollify_oracle(u, width):
+    """Cell i averages every cell j with the weight of the bump at their torus distance."""
+    g = u.grid
+    out = np.empty(g.n_cells)
+    for i in range(g.n_cells):
+        s2 = [(torus_distance(g, i, j) / width) ** 2 for j in range(g.n_cells)]
+        w = np.array([math.exp(1.0 - 1.0 / (1.0 - x)) if x < 1.0 else 0.0 for x in s2])
+        out[i] = math.fsum(w * u.values) / math.fsum(w)
+    return out
+
+
+@pytest.mark.parametrize("width", [0.2, 0.6])
+@pytest.mark.parametrize("dimension, cells", [(1, 8), (1, 9), (2, 8), (2, 9)])
+def test_mollifier_matches_the_torus_distance_oracle(dimension, cells, width):
+    # Width 0.6 reaches past the half period 0.5: on even grids the offset M/2 is one cell, weighted once.
+    g = make_grid(dimension, cells, 1.0)
+    u = Field(g, np.random.default_rng(cells).uniform(0.5, 1.5, size=g.n_cells))
+    np.testing.assert_allclose(mollify_initial(u, g, width).values, mollify_oracle(u, width), rtol=1e-14, atol=0.0)
+

@@ -50,8 +50,13 @@ class TestBuildContext:
     def test_neighbor_structure_on_small_torus(self):
         g = make_grid(1, 4, 4.0)
         ctx = build_context(g, regularize(UNIT_KERNEL, 1.0), R=1.0)
-        assert len(ctx.offsets) == 3
-        assert sorted(ctx.distances.tolist()) == [1.0, 1.0, 2.0]
+        # Offsets 1 and 3 form one pair at distance 1, met once; offset 2 is its
+        # own negative, met from both ends, so it carries weight 1/2.
+        pairs = []
+        for b in ctx.batches:
+            weights = np.ones(b.r.size) if b.weight is None else b.weight.ravel()
+            pairs += zip(b.r.ravel().tolist(), weights.tolist())
+        assert sorted(pairs) == [(1.0, 1.0), (2.0, 0.5)]
 
     def test_empty_neighborhood_rejected(self):
         g = make_grid(1, 4, 4.0)  # max torus distance is 2
@@ -145,7 +150,8 @@ class TestApply:
         ctx = build_context(g, regularize(make_zero_kernel(1), 0.5), R=1.0)
         rng = np.random.default_rng(11)
         u = Field(g, rng.normal(size=8))
-        assert np.all(apply(ctx, u, u).values == 0.0)
+        with pytest.warns(UserWarning, match="exceeds the bound"):   # the coefficient field exceeds R = 1
+            assert np.all(apply(ctx, u, u).values == 0.0)
 
     def test_warns_when_field_exceeds_bound(self):
         g = make_grid(1, 8, 4.0)
