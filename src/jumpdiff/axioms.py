@@ -253,7 +253,7 @@ def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_00
             v = Field(grid, rng_b1.uniform(-R, R, size=grid.n_cells))
             s = operator.max_row_sum(ctx, v)
             if s - bound > worst:
-                worst, wit = s - bound, {"row_sum": s, "bound": bound}
+                worst, wit = s - bound, {"row_sum": s, "bound": bound, "field": v, "R": float(R)}
         worst = max(0.0, worst)
         tol = 1e-9 * max(1.0, bound)
         reports.append(AxiomReport("B1", "pass" if worst <= tol else "fail", worst, tol, wit,
@@ -320,8 +320,10 @@ def replay_violation(kernel, report: AxiomReport) -> float:
 
     For A1-A5 this evaluates, at the witness, the same measure whose worst
     sample is ``worst_violation``, so a sound failure replays to
-    ``worst_violation`` and hence above ``report.tolerance``; a bare-kernel B1
-    failure replays to its row-sum growth.  A6 is the exception: it returns
+    ``worst_violation`` and hence above ``report.tolerance``.  A B1 failure of
+    a regularized kernel (passed as ``kernel``) replays the largest row sum of
+    its sampled field less the certified bound, and a bare-kernel B1 failure
+    its row-sum growth.  A6 is the exception: it returns
     the Lipschitz ratio at the witness (over ``|a - c|``), not the growth of
     the ratio that the probe reports; for the subquadratic p-Laplacian the
     growth is 4.80191943e10 and the ratio 4.80191944e10.
@@ -340,4 +342,8 @@ def replay_violation(kernel, report: AxiomReport) -> float:
     if report.axiom == "B1" and "row_sums" in w:
         s = w["row_sums"]
         return min(s[k + 1] / max(s[k], 1e-300) for k in range(len(s) - 1))
+    if report.axiom == "B1":
+        v, R = w["field"], w["R"]
+        row_sum = operator.max_row_sum(operator.build_context(v.grid, kernel, R), v)
+        return max(0.0, row_sum - regular_bound_M(kernel, R, v.grid))
     return 0.0

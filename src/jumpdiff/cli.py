@@ -9,8 +9,8 @@ Exit codes form a small contract for CI use:
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, an implicit step
-  that still diverged after 10 dt halvings, a non-finite kernel value in
-  an explicit step, a broken sup-norm guard) or a run's structural check
+  that still diverged after 10 dt halvings, a non-finite kernel value or
+  update in an explicit step, a broken sup-norm guard) or a run's structural check
   failed.
 
 Each failure prints a one-line message on stderr, never a traceback.

@@ -154,10 +154,18 @@ def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) 
 
 def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | None = None,
                   allow_cfl_violation: bool = False) -> Field:
-    """One forward Euler step ``u - dt * L_u u``."""
+    """One forward Euler step ``u - dt * L_u u``.
+
+    Raises :class:`SolverAbortError` (without a trajectory) when the update
+    leaves the float range.
+    """
     if max_dt is not None and dt > max_dt * (1.0 + 1e-12) and not allow_cfl_violation:
         raise CflViolationError(f"dt = {dt:g} exceeds the CFL limit {max_dt:g}")
-    return Field(ctx.grid, u.values - dt * _apply_raw(ctx, u.values, u.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = u.values - dt * _apply_raw(ctx, u.values, u.values)
+    if not np.isfinite(values).all():
+        raise SolverAbortError(f"the update of dt = {dt:g} is not finite")
+    return Field(ctx.grid, values)
 
 
 def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
@@ -246,8 +254,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     time, snapped to the nearest completed step; the first snapshot is
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
-    partial trajectory attached, as does a non-finite kernel value in an
-    explicit step.
+    partial trajectory attached, as does a non-finite kernel value or
+    update in an explicit step.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
@@ -282,7 +290,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         if explicit:
             try:
                 u_next = step_explicit(ctx, u, dt, max_dt=max_dt, allow_cfl_violation=config.cfl_override)
-            except NonFiniteKernelError as exc:
+            except (NonFiniteKernelError, SolverAbortError) as exc:
                 raise SolverAbortError(f"explicit step from t = {t:g}: {exc}", traj) from exc
         else:
             u_next, k = _implicit_step_with_retries(ctx, u, dt, config, traj)

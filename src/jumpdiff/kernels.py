@@ -27,6 +27,15 @@ compact-bump density, so its radial moments (``K_R`` and the truncation
 tails) are computed in closed form.  Every other kernel gets adaptive
 quadrature; scipy is imported on its first use, not with this module.
 
+Every decoupled family also declares its pair flux (:class:`PairFlux`):
+``(a - b) m(a, b; r) = N(F(a), F(b), a - b) mu(r)`` with a numerator that
+needs no division, ``a - b`` (heat), ``f(a) - f(b)`` (porous medium),
+``phi(a - b)`` (p-Laplacian), ``phi(f(a) - f(b))`` (doubly nonlinear) and
+``(f(a) + f(b)) (a - b)`` (convex diffusion).  The flux belongs to the
+kernel's ``eval_fn``: a kernel whose ``eval_fn`` is replaced (say by
+``dataclasses.replace``) declares none.  The operator sums the flux when the
+coefficient field is the field itself; everything else evaluates ``m``.
+
 Regularization composes a kernel with a ramp in ``|a - b|`` and a spatial
 cutoff at radius ``epsilon``.  The result is bounded row-wise by
 ``epsilon^-1 K_R`` (condition B1) and Lipschitz in the field arguments (B2),
@@ -274,6 +283,32 @@ def compact_bump_density(r0: float, dim: int, amplitude: float = 1.0) -> LevyDen
 
 
 @dataclass(frozen=True)
+class PairFlux:
+    """A decoupled kernel as a pair flux: ``(a - b) m(a, b; r) = N(F(a), F(b), a - b) mu(r)``.
+
+    ``cell`` is ``F``, applied once per cell (None: the identity);
+    ``numerator(fa, fb, d, out)`` returns ``N`` for ``fa = F(a)``,
+    ``fb = F(b)`` and ``d = a - b``, written into ``out`` unless it is ``d``
+    itself; ``mu`` is the radial density.
+    """
+
+    cell: Callable | None = field(repr=False)
+    numerator: Callable = field(repr=False)
+    mu: LevyDensity
+
+
+@dataclass(frozen=True)
+class _FluxEval:
+    """An ``eval_fn`` that declares its pair flux, so that replacing the one drops the other."""
+
+    fn: Callable
+    flux: PairFlux
+
+    def __call__(self, a, b, r):
+        return self.fn(a, b, r)
+
+
+@dataclass(frozen=True)
 class JumpKernel:
     """Evaluator ``m(a, b; r)`` together with its radial majorant.
 
@@ -299,13 +334,21 @@ class JumpKernel:
     def majorant(self, R: float, r):
         return self.majorant_fn(float(R), np.asarray(r, dtype=float))
 
+    @property
+    def flux(self) -> PairFlux | None:
+        """The pair flux that ``eval_fn`` declares; None for entangled kernels and replaced evaluators."""
+        return self.eval_fn.flux if isinstance(self.eval_fn, _FluxEval) else None
 
-def _decoupled(name: str, eval_fn, scale, mu: LevyDensity) -> JumpKernel:
-    """A kernel ``F(a, b) mu(r)`` whose majorant is ``scale(R) * mu(r)``."""
+
+def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, cell, numerator) -> JumpKernel:
+    """A kernel ``F(a, b) mu(r)`` whose majorant is ``scale(R) * mu(r)``.
+
+    ``cell`` and ``numerator`` declare its pair flux (:class:`PairFlux`).
+    """
     return JumpKernel(
         name=name,
         dim=mu.dim,
-        eval_fn=eval_fn,
+        eval_fn=_FluxEval(eval_fn, PairFlux(cell, numerator, mu)),
         majorant_fn=lambda R, r: scale(R) * mu(r),
         support_radius=mu.support_radius,
         density=mu,
@@ -326,7 +369,7 @@ def make_fractional_heat(alpha: float, amplitude: float = 1.0, dim: int = 1) -> 
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r))
         return np.broadcast_to(mu(r), shape) if shape else mu(r)
 
-    return _decoupled("fractional_heat", ev, lambda R: 1.0, mu)
+    return _decoupled("fractional_heat", ev, lambda R: 1.0, mu, None, lambda fa, fb, d, out: d)
 
 
 def _f_sup_deriv(f: ScalarFunction | None, R: float) -> float:
@@ -369,24 +412,26 @@ def _quotient_kernel(name: str, f: ScalarFunction | None, phi: ScalarFunction | 
         raise ValueError(f"{label} kernel needs the limit of phi(z)/z at 0 (ratio_limit0)")
     lim0 = 1.0 if phi is None else float(phi.ratio_limit0)
 
-    def flux(a, b):
-        """The numerator ``phi(f(a) - f(b))``; an identity is skipped, not applied."""
-        d = a - b if f is None else f(a) - f(b)
-        return d if phi is None else phi(d)
+    def numerator(fa, fb, d, out):
+        """``phi(f(a) - f(b))``; an identity ``f`` or ``phi`` is skipped, not applied."""
+        diff = d if f is None else np.subtract(fa, fb, out=out)
+        if phi is None:
+            return diff
+        out[...] = phi(diff)
+        return out
 
     def quotient(a, b):
-        # a - b is formed twice rather than held: one more batch-sized array alive
-        # at a time made each 1-d M=1024 apply take ~4x the minor page faults.
-        small = np.abs(a - b) < DIAGONAL_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        d = a - b
+        small = np.abs(d) < DIAGONAL_REL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        num = numerator(a if f is None else f(a), b if f is None else f(b), d, np.empty(np.shape(d)))
         diag = lim0 if f is None else f.deriv(a) if phi is None else lim0 * f.deriv(a)
-        return np.where(small, diag, flux(a, b) / np.where(small, 1.0, a - b))
+        return np.where(small, diag, num / np.where(small, 1.0, d))
 
     def scale(R):
         fmax = R if f is None else float(np.max(np.abs(f(np.array([-R, 0.0, R])))))
         return _ratio_sup(phi, 2.0 * fmax) * _f_sup_deriv(f, R)
 
-    # The quotient's batch temporaries are freed before the product with mu(r).
-    return _decoupled(name, lambda a, b, r: quotient(a, b) * mu(r), scale, mu)
+    return _decoupled(name, lambda a, b, r: quotient(a, b) * mu(r), scale, mu, f, numerator)
 
 
 def make_porous_medium(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -407,10 +452,15 @@ def make_convex_diffusion(f: ScalarFunction, mu: LevyDensity) -> JumpKernel:
     def ev(a, b, r):
         return (f(a) + f(b)) * mu(r)
 
+    def numerator(fa, fb, d, out):
+        """``(f(a) + f(b)) (a - b)``."""
+        np.add(fa, fb, out=out)
+        return np.multiply(out, d, out=out)
+
     def scale(R):
         return 2.0 * float(max(f(np.asarray(R)), f(np.asarray(-R))))
 
-    return _decoupled("convex_diffusion", ev, scale, mu)
+    return _decoupled("convex_diffusion", ev, scale, mu, f, numerator)
 
 
 def make_p_laplacian(phi: ScalarFunction, mu: LevyDensity) -> JumpKernel:
@@ -506,6 +556,24 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
 # ---------------------------------------------------------------------------
 
 
+def _ramp_in_place(epsilon: float, x: np.ndarray) -> np.ndarray:
+    """Overwrite the float array ``x`` with ``smooth_ramp(epsilon, x)``.
+
+    ``x`` must be contiguous in memory, in any axis order (as every fresh
+    array is).  The quintic is evaluated only where ``t`` lies strictly
+    inside (0, 1); at ``t = 0`` and ``t = 1`` it is exactly 0 and 1.
+    """
+    half = epsilon / 2.0
+    np.subtract(x, half, out=x)
+    np.divide(x, half, out=x)
+    np.clip(x, 0.0, 1.0, out=x)
+    t = x.ravel(order="K")
+    inner = np.flatnonzero((t > 0.0) & (t < 1.0))
+    ti = t[inner]
+    t[inner] = ti * ti * ti * (ti * (6.0 * ti - 15.0) + 10.0)
+    return x
+
+
 def smooth_ramp(epsilon: float, x):
     """Quintic smoothstep ramp: 0 for ``x <= eps/2``, 1 for ``x >= eps``.
 
@@ -513,9 +581,7 @@ def smooth_ramp(epsilon: float, x):
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    x = np.asarray(x, dtype=float)
-    t = np.clip((x - epsilon / 2.0) / (epsilon / 2.0), 0.0, 1.0)
-    out = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+    out = _ramp_in_place(epsilon, np.array(x, dtype=float))
     return out if out.ndim else float(out)
 
 

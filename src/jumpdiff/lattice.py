@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridSpec",
@@ -139,17 +138,22 @@ def cutoff_mask(grid: GridSpec, epsilon: float) -> np.ndarray:
     return keep
 
 
-def neighbor_windows(values: np.ndarray, lattice_axes: int | None = None) -> np.ndarray:
+def neighbor_windows(values: np.ndarray) -> np.ndarray:
     """Read-only view of every periodic displacement of ``values``.
 
-    The last ``lattice_axes`` axes (default: all) form a periodic lattice of
-    shape ``L``, and ``neighbor_windows(x)[..., o, i] == x[..., (i + o) mod L]``
-    for offsets ``0 <= o <= L``: a strided view of a tiled copy, so a slice of
-    offsets gives the neighbors of all cells without an index array.
+    ``values`` is a periodic lattice of shape ``L``, and
+    ``neighbor_windows(x)[o][i] == x[(i + o) mod L]`` for offsets
+    ``0 <= o <= L`` (``o`` and ``i`` multi-indices): a strided view of a copy
+    doubled along every axis, so a slice of offsets gives the neighbors of all
+    cells without an index array.
     """
-    n = values.ndim if lattice_axes is None else lattice_axes
-    tiled = np.tile(values, (1,) * (values.ndim - n) + (2,) * n)
-    return sliding_window_view(tiled, values.shape[values.ndim - n:], axis=tuple(range(values.ndim - n, values.ndim)))
+    doubled = values
+    for axis in range(values.ndim):
+        doubled = np.concatenate((doubled, doubled), axis=axis)
+    shape = values.shape
+    windows = np.ndarray(tuple(s + 1 for s in shape) + shape, doubled.dtype, doubled, 0, doubled.strides * 2)
+    windows.flags.writeable = False
+    return windows
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,28 @@ Each unordered pair is evaluated once: for one offset ``o`` of every pair
 ``o, -o`` the value ``f_i = (u_i - u_{i+o}) m_eps(v_i, v_{i+o}; r_o)`` is
 added at ``i`` and subtracted at ``i + o`` (an offset that is its own
 negative meets its pairs from both ends and gets weight 1/2).  Neighbors
-and the subtraction are strided views (``lattice.neighbor_windows``), so
-no index array is built.  Batches of offsets are vectorized over cells and
+are strided views (``lattice.neighbor_windows``), so no index array is
+built; the subtraction reads each batch from a buffer that holds every
+plane twice.  Batches of offsets are vectorized over cells and
 Kahan-summed in a fixed order, so results are deterministic and commute
 bitwise with lattice shifts.  Both contributions of a pair come from one
 evaluation and are exact negations of each other by construction, which
 is what makes mass cancellation, the discrete symmetrization identity and
 the Kato inequality hold at the floating-point level rather than merely
 up to quadrature error.
+
+When the coefficient field is the field itself (``L_u u``: every time step
+and the Kato functional) and the kernel declares a pair flux
+(:class:`kernels.PairFlux`, the five decoupled families), the pair value is
+the flux ``f_i = N(F(u_i), F(u_{i+o}), u_i - u_{i+o}) ramp(|u_i - u_{i+o}|) w_o``:
+``F(u)`` is computed once per cell, ``w_o = mu(r_o)`` (halved on
+self-negative offsets) once per batch by :func:`build_context`, and no
+difference quotient is formed.  Every other call evaluates the kernel
+``m_eps`` pair by pair (the eval path): ``L_v u`` with ``v`` not ``u``,
+:func:`bilinear_form`, :func:`max_row_sum`, the entangled kernels and any
+kernel whose ``eval_fn`` was replaced.  A flux apply whose ``F(u)`` or
+result is not finite is redone on the eval path, which names the offending
+pair or returns the value it always gave.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import QuadratureDivergenceError, RegularizedKernel, levy_constant, majorant_moment
+from .kernels import QuadratureDivergenceError, RegularizedKernel, _ramp_in_place, levy_constant, majorant_moment
 from .lattice import Field, GridSpec, bv_norm, cutoff_mask, neighbor_windows, norm_lp, offset_distances
 
 __all__ = [
@@ -70,6 +84,7 @@ class _Batch(NamedTuple):
     cols: slice
     r: np.ndarray               # (n, 1, 1) torus distance per offset
     weight: np.ndarray | None   # (n, 1, 1) pair weight, 1/2 on self-negative offsets; None if all 1
+    flux_weight: np.ndarray | None = None   # (n, 1, 1) mu(r) * weight for a kernel with a pair flux
 
 
 @dataclass(frozen=True)
@@ -153,11 +168,17 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
             "the spatial cutoff removes no pairs",
             stacklevel=2,
         )
+    batches = _offset_batches(grid, neighborhood(grid, eps), half=True)
+    flux = regkernel.base.flux
+    if flux is not None:
+        with np.errstate(over="ignore"):   # an infinite weight makes its applies take the eval path
+            batches = tuple(b._replace(flux_weight=flux.mu(b.r) * (1.0 if b.weight is None else b.weight))
+                            for b in batches)
     return OperatorContext(
         grid=grid,
         regkernel=regkernel,
         bound_R=float(R),
-        batches=_offset_batches(grid, neighborhood(grid, eps), half=True),
+        batches=batches,
         tail_estimate=_tail_estimate(regkernel, R, grid),
     )
 
@@ -181,31 +202,90 @@ def _pair_weights(ctx: OperatorContext, v: np.ndarray):
         yield b, w
 
 
-def _scatter(f: np.ndarray, b: _Batch) -> np.ndarray:
-    """``sum_k f[k, j - o_k]``: the pair values of a batch moved to the far cell of each pair."""
-    lo, n = b.cols.start, f.shape[0]
-    # windows[k, i, c] is f[k, i] displaced by c along the last axis; offset lo + k needs
-    # c = m - lo - k, a diagonal once c is reversed.  The row part is a roll of the sum.
-    windows = neighbor_windows(f, lattice_axes=1)[:, :, ::-1][:, :, lo:lo + n]
-    return np.roll(np.diagonal(windows, axis1=0, axis2=2).sum(axis=-1), b.row, axis=0)
+def _doubled(ctx: OperatorContext) -> np.ndarray:
+    """Flat scratch for :func:`_scatter`: two planes and one spare value per offset of the largest batch, and ``m`` more."""
+    return np.empty(_largest_batch(ctx) * (2 * ctx.grid.n_cells + 1) + ctx.grid.cells_per_axis)
 
 
-def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Core pair sum; Kahan-compensated across batches."""
-    hn = ctx.grid.cell_volume
-    up = _plane(ctx.grid, u)
-    u_nb = neighbor_windows(up)
-    acc = np.zeros(up.shape)
-    comp = np.zeros(up.shape)
-    for b, w in _pair_weights(ctx, v):
-        f = (up - u_nb[b.row, b.cols]) * w
-        term = (f.sum(axis=0) - _scatter(f, b)) * hn
-        # Kahan step: acc + term with carried compensation.
+def _largest_batch(ctx: OperatorContext) -> int:
+    return max(b.r.shape[0] for b in ctx.batches)
+
+
+def _scatter(f: np.ndarray, b: _Batch, buf: np.ndarray) -> np.ndarray:
+    """``sum_k f[k, j - o_k]``: the pair values of a batch moved to the far cell of each pair.
+
+    Each plane ``f[k]`` is written twice, side by side along its last axis,
+    into ``buf`` (:func:`_doubled`), in rows of ``2 rows m + 1`` values.
+    Read back from column ``m - lo`` in rows one value shorter, each offset
+    starts one column further left than the one before, so
+    ``f[k, r, j - lo - k]`` comes out at ``(k, r, j)``.  The row part of the
+    offset is a roll of the sum.
+    """
+    n, rows, m = f.shape
+    lo, width = b.cols.start, 2 * rows * m
+    buf[:n * (width + 1)].reshape(n, width + 1)[:, :width].reshape(n, rows, 2, m)[...] = f[:, :, None, :]
+    moved = buf[m - lo:m - lo + n * width].reshape(n, rows, 2 * m)[:, :, :m].sum(axis=0)
+    return moved if b.row == 0 else np.roll(moved, b.row, axis=0)
+
+
+def _kahan_sum(terms, shape: tuple) -> np.ndarray:
+    """Compensated sum of the arrays ``terms``, in order."""
+    acc = np.zeros(shape)
+    comp = np.zeros(shape)
+    for term in terms:
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-    return acc.ravel()
+    return acc
+
+
+def _eval_terms(ctx: OperatorContext, v: np.ndarray, up: np.ndarray):
+    """Per batch, ``sum_o f_i - f_{i-o}`` with ``f_i = (u_i - u_{i+o}) m_eps(v_i, v_{i+o}; r_o) h^N``."""
+    hn = ctx.grid.cell_volume
+    u_nb = neighbor_windows(up)
+    buf = _doubled(ctx)
+    for b, w in _pair_weights(ctx, v):
+        f = (up - u_nb[b.row, b.cols]) * w
+        yield (f.sum(axis=0) - _scatter(f, b, buf)) * hn
+
+
+def _flux_terms(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray):
+    """:func:`_eval_terms` for ``v = u`` from the pair flux ``numerator``, with ``fp = F(u)`` over the plane of cells."""
+    hn = ctx.grid.cell_volume
+    eps = ctx.regkernel.epsilon
+    u_nb = neighbor_windows(up)
+    f_nb = u_nb if fp is up else neighbor_windows(fp)
+    buf = _doubled(ctx)
+    d = np.empty((_largest_batch(ctx),) + up.shape)
+    ramp = np.empty_like(d)
+    num = np.empty_like(d)
+    for b in ctx.batches:
+        n = b.r.shape[0]
+        db = np.subtract(up, u_nb[b.row, b.cols], out=d[:n])
+        f = _ramp_in_place(eps, np.abs(db, out=ramp[:n]))
+        f *= b.flux_weight
+        f *= numerator(fp, f_nb[b.row, b.cols], db, num[:n])
+        yield (f.sum(axis=0) - _scatter(f, b, buf)) * hn
+
+
+def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Core pair sum; Kahan-compensated across batches.
+
+    Sums the pair flux when ``v is u`` and the kernel declares one, the
+    kernel values otherwise or when the flux sum is not finite.
+    """
+    up = _plane(ctx.grid, u)
+    flux = ctx.regkernel.base.flux
+    if v is u and flux is not None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fu = u if flux.cell is None else flux.cell(u)
+            if np.isfinite(u).all() and np.isfinite(fu).all():
+                fp = up if fu is u else _plane(ctx.grid, fu)
+                acc = _kahan_sum(_flux_terms(ctx, flux.numerator, up, fp), up.shape)
+                if np.isfinite(acc).all():
+                    return acc.ravel()
+    return _kahan_sum(_eval_terms(ctx, v, up), up.shape).ravel()
 
 
 def _check_fields(ctx: OperatorContext, coefficients: tuple, *others: Field) -> None:
@@ -281,6 +361,6 @@ def l1_operator_bound_check(ctx: OperatorContext, v: Field, u: Field) -> tuple[f
 def max_row_sum(ctx: OperatorContext, v: Field) -> float:
     """Largest assembled row sum ``max_i sum_j m_eps(v_i, v_j; r_ij) h^N``."""
     _check_fields(ctx, (v,))
-    hn = ctx.grid.cell_volume
-    rows = sum(w.sum(axis=0) + _scatter(w, b) for b, w in _pair_weights(ctx, v.values))
-    return float(rows.max()) * hn
+    buf = _doubled(ctx)
+    rows = sum(w.sum(axis=0) + _scatter(w, b, buf) for b, w in _pair_weights(ctx, v.values))
+    return float(rows.max()) * ctx.grid.cell_volume

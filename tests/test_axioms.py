@@ -171,6 +171,13 @@ class TestCheckRegular:
         assert reports["B2"].verdict == "pass"
         assert np.isfinite(reports["B2"].estimate)
 
+    def test_regularized_b1_failure_replays_its_worst_violation(self):
+        g = make_grid(1, 32, 1.0)
+        reg = regularize(majorant_violator(), 2 * g.spacing)
+        r = by_axiom(check_regular(reg, g, R=1.0, seed=0))["B1"]
+        assert r.verdict == "fail" and r.worst_violation > 1e6 * r.tolerance
+        assert replay_violation(reg, r) == pytest.approx(r.worst_violation, rel=1e-12)
+
     def test_bare_singular_kernel_fails_b1_under_refinement(self):
         g = make_grid(1, 16, 4.0)
         k = make_fractional_heat(0.5, 1.0, dim=1)

@@ -262,6 +262,15 @@ def test_non_finite_certified_bound_aborts_in_one_line(tmp_path, capsys, amplitu
     assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
 
 
+def test_explicit_update_beyond_the_float_range_aborts_with_the_trajectory(tmp_path, capsys):
+    text = config_text(SMALL, {"kernel.family": "fractional_heat", "profile.kind": "random_bv",
+                               "solver.integrator": "explicit_euler", "solver.cfl_override": "true",
+                               "solver.dt": "1.5e308", "solver.t": "1.5e308"})
+    assert run_cli(tmp_path, text) == EXIT_SOLVER
+    assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
+
+
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(config_text(SMALL, {}), encoding="utf-8")

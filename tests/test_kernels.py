@@ -326,6 +326,22 @@ class TestSmoothRamp:
             with pytest.raises(ValueError):
                 smooth_ramp(eps, 0.5)
 
+    def test_arrays_in_any_memory_order_match_the_scalar_ramp(self):
+        x = np.random.default_rng(2).uniform(0.0, 1.2, size=(3, 4, 5))
+        for view in (x, x.transpose(2, 0, 1), x[:, ::2, ::-1]):
+            assert smooth_ramp(1.0, view).ravel().tolist() == [smooth_ramp(1.0, z) for z in view.ravel()]
+
+
+class TestPairFlux:
+    def test_decoupled_families_declare_one_and_entangled_kernels_none(self):
+        mu = power_law_density(0.5, 1)
+        declared = [make_fractional_heat(0.5), make_porous_medium(power_odd(2.0), mu),
+                    make_convex_diffusion(power_abs(2.0), mu), make_p_laplacian(phi_power(3.0), mu),
+                    make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu)]
+        assert all(k.flux is not None and k.flux.mu == mu for k in declared)
+        entangled = [TestVariableOrder._kernel(), make_zero_kernel(1), cone_combine(1.0, declared[0], 1.0, declared[1])]
+        assert all(k.flux is None for k in entangled)
+
 
 class TestRegularize:
     def test_spatial_cutoff(self):

@@ -1,21 +1,29 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jumpdiff.kernels import (
     compact_bump_density,
+    make_convex_diffusion,
+    make_doubly_nonlinear,
     make_fractional_heat,
     make_p_laplacian,
     make_porous_medium,
     make_zero_kernel,
     phi_power,
+    power_abs,
     power_law_density,
     power_odd,
     regularize,
+    table_function,
 )
 from jumpdiff.lattice import Field, make_grid, norm_lp, shift_field, torus_distance
 from jumpdiff.operator import (
+    NonFiniteKernelError,
+    _apply_raw,
     apply,
     bilinear_form,
     build_context,
@@ -144,6 +152,11 @@ class TestApply:
             for off in shifts:
                 shifted = apply(ctx, shift_field(v, off), shift_field(u, off))
                 assert np.array_equal(shifted.values, shift_field(out, off).values)
+            # The self-apply L_u u sums the pair flux instead.
+            out = apply(ctx, u, u)
+            for off in shifts:
+                moved = shift_field(u, off)
+                assert np.array_equal(apply(ctx, moved, moved).values, shift_field(out, off).values)
 
     def test_zero_kernel_gives_zero_field(self):
         g = make_grid(1, 8, 4.0)
@@ -159,6 +172,79 @@ class TestApply:
         big = Field(g, np.full(8, 2.0))
         with pytest.warns(UserWarning, match="exceeds the bound"):
             apply(ctx, big, big)
+
+
+def flux_kernels(dim):
+    """The five decoupled families, each of which declares a pair flux."""
+    mu = power_law_density(0.5, dim)
+    return {
+        "heat": make_fractional_heat(0.5, dim=dim),
+        "porous-m1": make_porous_medium(power_odd(1.0), mu),
+        "porous-m2": make_porous_medium(power_odd(2.0), mu),
+        "porous-m3.5": make_porous_medium(power_odd(3.5), mu),
+        "porous-table": make_porous_medium(table_function([(-1.0, -2.0), (0.0, 0.0), (0.3, 0.1), (1.0, 1.5)]), mu),
+        "p-laplacian-p2": make_p_laplacian(phi_power(2.0), mu),
+        "p-laplacian-p3": make_p_laplacian(phi_power(3.0), mu),
+        "doubly-nonlinear": make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu),
+        "convex-diffusion": make_convex_diffusion(power_abs(2.0), mu),
+    }
+
+
+class TestSelfApply:
+    """``L_u u`` sums the pair flux; it must agree with the kernel evaluated pair by pair."""
+
+    @pytest.mark.parametrize("name", sorted(flux_kernels(1)))
+    @pytest.mark.parametrize("dim, m", [(1, 15), (1, 16), (2, 6)])
+    def test_matches_brute_force_oracle(self, name, dim, m):
+        g = make_grid(dim, m, 4.0)
+        k = flux_kernels(dim)[name]
+        assert k.flux is not None
+        ctx = build_context(g, regularize(k, min(1.0, 2.0 * g.spacing)), R=1.0)
+        u = Field(g, np.random.default_rng(m).uniform(-1, 1, size=g.n_cells))
+        got = apply(ctx, u, u).values
+        want = brute_force_apply(ctx, u, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    def test_replaced_eval_fn_is_what_a_self_apply_evaluates(self):
+        g = make_grid(1, 16, 4.0)
+        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1))
+        doubled = replace(k, eval_fn=lambda a, b, r: 2.0 * k.eval_fn(a, b, r))
+        assert doubled.flux is None
+        ctx = build_context(g, regularize(doubled, g.spacing), R=1.0)
+        u = Field(g, np.random.default_rng(3).uniform(-1, 1, size=g.n_cells))
+        got = apply(ctx, u, u).values
+        want = brute_force_apply(ctx, u, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        once = apply(build_context(g, regularize(k, g.spacing), R=1.0), u, u).values
+        np.testing.assert_allclose(got, 2.0 * once, rtol=1e-12, atol=1e-12)
+
+    def test_overflowing_f_of_u_raises_as_the_eval_path_does(self):
+        g = make_grid(1, 16, 4.0)
+        ctx = build_context(g, regularize(make_porous_medium(power_odd(3.5), power_law_density(0.5, 1)), g.spacing),
+                            R=1.0)
+        u = np.linspace(-1.0, 1.0, g.n_cells)
+        u[5] = 1e100   # f(u) = u^3.5 overflows there
+        with pytest.raises(NonFiniteKernelError) as via_eval:
+            _apply_raw(ctx, u, u.copy())
+        with pytest.raises(NonFiniteKernelError) as via_flux:
+            _apply_raw(ctx, u, u)
+        assert str(via_flux.value) == str(via_eval.value)
+
+    def test_overflowing_flux_sum_returns_what_the_eval_path_does(self):
+        # f(u) and the kernel values are finite; (u_i - u_j) m overflows on every pair of unlike signs.
+        g = make_grid(1, 16, 4.0)
+        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1, amplitude=1e110))
+        ctx = build_context(g, regularize(k, g.spacing), R=1.0)
+        u = np.where(np.arange(g.n_cells) % 3 == 0, 1e100, -1e100)
+        results = []
+        for v in (u.copy(), u):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append((_apply_raw(ctx, v, u), [str(w.message) for w in caught]))
+        (via_eval, eval_warnings), (via_flux, flux_warnings) = results
+        assert not np.isfinite(via_eval).all() and eval_warnings
+        assert np.array_equal(via_flux, via_eval, equal_nan=True)
+        assert flux_warnings == eval_warnings
 
 
 class TestBilinearForm:
