@@ -9,7 +9,10 @@ comparison and positivity properties of the semigroup exactly (up to the
 fixed-point tolerance), with no time-discretization slack.  Its nonlinear
 equation is solved by Anderson-accelerated fixed-point iteration, which
 converges without the fixed-point map being a contraction; an attempt that
-diverges anyway is retried with halved dt.
+diverges anyway is retried with halved dt.  Each solve of a run starts from
+the quadratic extrapolation of the last accepted states, which costs no
+operator apply; the first one, and an attempt right after a divergence,
+start from the current state.
 
 Both integrators conserve mass to roundoff because every operator
 application sums to zero by antisymmetric pairing.
@@ -23,6 +26,7 @@ bare kernel are obtained as limits of regularized ones.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,10 +173,12 @@ def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | Non
 
 
 def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
-                         max_iters: int) -> tuple[Field, int]:
+                         max_iters: int, guess: Field | None = None) -> tuple[Field, int]:
     """Solve ``w = u - dt * L_w w`` by Anderson-accelerated fixed-point iteration.
 
-    The fixed-point map is ``G(w) = u - dt * L_w w``.  Each iteration makes
+    The fixed-point map is ``G(w) = u - dt * L_w w``.  The first iterate is
+    ``guess``, or ``u`` when no guess is given; a guess is only a starting
+    point and costs no apply.  Each iteration makes
     one evaluation of ``G`` (one operator apply) and then mixes the last
     ``ANDERSON_MEMORY`` evaluations (type-II Anderson acceleration, Walker &
     Ni 2011): the next iterate is ``G(w_k) - dG gamma``, where ``gamma``
@@ -184,7 +190,7 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
     Stops when ``||G(w) - w||_1 <= tol`` and returns ``(G(w), k)``, ``k``
     being the number of operator applies.  Because the returned field is an
     exact evaluation of ``G``, its mass equals the mass of ``u`` to roundoff
-    however far it is from converged.
+    however far it, or the guess, is from converged.
 
     Raises :class:`PicardDivergedError` when the tolerance is not reached in
     ``max_iters`` iterations, when the residual is not finite or grows
@@ -195,7 +201,7 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     hn = ctx.grid.cell_volume
     uv = u.values
-    w = uv
+    w = uv if guess is None else guess.values
     d_f: list[np.ndarray] = []
     d_g: list[np.ndarray] = []
     f_prev = g_prev = None
@@ -259,8 +265,12 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
-    after quick sub-steps.  ``picard_iters`` of each snapshot counts the
-    fixed-point iterations of every step since the previous snapshot.
+    after quick sub-steps.  Each implicit solve starts from the degree <= 2
+    Lagrange extrapolation, to its own end time, of the last three accepted
+    states (``u0`` and every converged sub-step), which costs no apply; the
+    first step and an attempt right after a divergence start from the
+    current state.  ``picard_iters`` of each snapshot counts the fixed-point
+    iterations of every step since the previous snapshot.
     """
     T = config.end_time
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
@@ -283,6 +293,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     emit(0.0, u0, 0)
     u = u0
     t = 0.0
+    history = deque([(t, u)], maxlen=3)   # accepted implicit states, the latest last
     next_snap = snapshot_every
     iters = 0   # fixed-point iterations since the last snapshot
     while t < T * (1.0 - 1e-14):
@@ -293,7 +304,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
             except (NonFiniteKernelError, SolverAbortError) as exc:
                 raise SolverAbortError(f"explicit step from t = {t:g}: {exc}", traj) from exc
         else:
-            u_next, k = _implicit_step_with_retries(ctx, u, dt, config, traj)
+            u_next, k = _implicit_step_with_retries(ctx, history, dt, config, traj)
             iters += k
         t += dt
         traj.dts.append(dt)
@@ -313,23 +324,31 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     return traj
 
 
-def _implicit_step_with_retries(ctx, u, dt, config, traj):
+def _implicit_step_with_retries(ctx, history, dt, config, traj):
     """Backward Euler over ``dt`` in sub-steps, halved on divergence (at most 10 halvings deep).
 
-    A sub-step that converged within half the iteration budget doubles the
+    ``history`` holds the last accepted ``(t, u)`` states, the current one
+    last; every converged sub-step is appended to it.  A sub-step starts
+    from their extrapolation to its end time (:func:`_extrapolate`), except
+    right after a divergence, when it starts from the current state.  A
+    sub-step that converged within half the iteration budget doubles the
     next one, up to ``dt``; after a slower one a doubled attempt tends to
     spend the whole budget and fail.  Returns the new field and the
     fixed-point iterations spent on it, diverged attempts included.
     """
+    t, u = history[-1]
     remaining = dt
     sub_dt = dt
     iters_total = 0
+    warm = True
     while remaining > 1e-30:
         step = min(sub_dt, remaining)
+        guess = _extrapolate(history, t + step) if warm else None
         try:
-            u, k = step_backward_picard(ctx, u, step, config.picard_tol, config.picard_max_iters)
+            u, k = step_backward_picard(ctx, u, step, config.picard_tol, config.picard_max_iters, guess=guess)
         except PicardDivergedError as exc:
             iters_total += exc.iterations
+            warm = False
             sub_dt = step / 2.0
             if sub_dt < dt / 2**10:
                 raise SolverAbortError(
@@ -337,10 +356,32 @@ def _implicit_step_with_retries(ctx, u, dt, config, traj):
                     traj) from exc
             continue
         iters_total += k
+        warm = True
+        t += step
+        history.append((t, u))
         remaining -= step
         if 2 * k <= config.picard_max_iters:
             sub_dt = min(2.0 * sub_dt, dt)
     return u, iters_total
+
+
+def _extrapolate(history, t: float) -> Field | None:
+    """Lagrange extrapolation to ``t`` through the ``(t_j, u_j)`` states of ``history``.
+
+    None with fewer than two states, or when the result is not finite (as
+    for coinciding times): the solve then starts from the latest state.
+    """
+    if len(history) < 2:
+        return None
+    times = np.array([s for s, _ in history])
+    guess = 0.0
+    with np.errstate(all="ignore"):
+        for j, (tj, uj) in enumerate(history):
+            others = np.delete(times, j)
+            guess = guess + np.prod((t - others) / (tj - others)) * uj.values
+    if not np.isfinite(guess).all():
+        return None
+    return Field(history[-1][1].grid, guess)
 
 
 def check_eps_list(eps_list, spacing: float) -> list[float]:

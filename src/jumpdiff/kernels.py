@@ -340,19 +340,32 @@ class JumpKernel:
         return self.eval_fn.flux if isinstance(self.eval_fn, _FluxEval) else None
 
 
+def _scaled(scale: float, values):
+    """``scale * values`` with ``inf * 0 = 0``: an unbounded majorant still vanishes where its density does."""
+    return scale * values if math.isfinite(scale) else np.where(np.asarray(values) == 0.0, 0.0, math.inf)
+
+
 def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, cell, numerator) -> JumpKernel:
     """A kernel ``F(a, b) mu(r)`` whose majorant is ``scale(R) * mu(r)``.
 
     ``cell`` and ``numerator`` declare its pair flux (:class:`PairFlux`).
+    A scale beyond the float range is ``inf``.
     """
+    def bounded_scale(R):
+        with np.errstate(over="ignore"):
+            try:
+                return float(scale(R))
+            except OverflowError:
+                return math.inf
+
     return JumpKernel(
         name=name,
         dim=mu.dim,
         eval_fn=_FluxEval(eval_fn, PairFlux(cell, numerator, mu)),
-        majorant_fn=lambda R, r: scale(R) * mu(r),
+        majorant_fn=lambda R, r: _scaled(bounded_scale(R), mu(r)),
         support_radius=mu.support_radius,
         density=mu,
-        majorant_scale=scale,
+        majorant_scale=bounded_scale,
     )
 
 
@@ -660,7 +673,7 @@ def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: f
     radius.  A divergent integral raises :class:`QuadratureDivergenceError`.
     """
     if kernel.density is not None:
-        return kernel.majorant_scale(float(R)) * kernel.density.radial_moment(lo, hi, power)
+        return float(_scaled(kernel.majorant_scale(float(R)), kernel.density.radial_moment(lo, hi, power)))
     if kernel.support_radius is not None:
         hi = min(hi, kernel.support_radius)
     dim = kernel.dim if kernel.dim is not None else 1

@@ -188,8 +188,13 @@ def norm_lp(u: Field, p: float) -> float:
         return float(a.max()) if a.size else 0.0
     hn = u.grid.cell_volume
     if p == 1:
-        return float(math.fsum(a) * hn)
-    return float((math.fsum(a**p) * hn) ** (1.0 / p))
+        return float(_fsum(a) * hn)
+    with np.errstate(over="ignore"):
+        total = _fsum(a**p)
+    if math.isinf(total):   # p-th powers or their sum beyond the float range: scale by the largest value
+        top = float(a.max())
+        return top * (math.fsum((a / top) ** p) * hn) ** (1.0 / p)
+    return float((total * hn) ** (1.0 / p))
 
 
 def total_variation(u: Field) -> float:
@@ -199,8 +204,9 @@ def total_variation(u: Field) -> float:
     scale = g.spacing ** (g.dimension - 1)
     total = 0.0
     for axis in range(g.dimension):
-        diff = np.abs(np.roll(v, -1, axis=axis) - v)
-        total += math.fsum(diff.ravel())
+        with np.errstate(over="ignore"):   # a jump beyond the float range is inf
+            diff = np.abs(np.roll(v, -1, axis=axis) - v)
+        total += _fsum(diff.ravel())
     return total * scale
 
 
@@ -211,7 +217,15 @@ def bv_norm(u: Field) -> float:
 
 def mass(u: Field) -> float:
     """Compensated sum of cell values times cell volume."""
-    return math.fsum(u.values) * u.grid.cell_volume
+    return _fsum(u.values) * u.grid.cell_volume
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum``; past an intermediate overflow, the fsum of the values scaled exactly by 2^-64, scaled back."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.fsum(values * 2.0**-64) * 2.0**64
 
 
 def shift_field(u: Field, lattice_offset) -> Field:

@@ -177,6 +177,21 @@ def test_converge_mollifies_the_profile(tmp_path):
     assert rows == [list(row) for row in table]
 
 
+def test_cauchy_distances_shrink_as_eps_halves(tmp_path):
+    text = config_text(SMALL, {"grid.m": "128", "profile.kind": "box", "profile.width": "0.3",
+                               "solver.eps_list": "16h, 8h, 4h, 2h, h"})
+    cfg = tmp_path / "converge.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "cauchy.csv", newline="") as fh:
+        rows = [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+    assert [row["eps_coarse"] for row in rows] == [16 / 128, 8 / 128, 4 / 128, 2 / 128]
+    assert all(row["eps_fine"] == row["eps_coarse"] / 2 for row in rows)
+    distances = [row["l1_distance"] for row in rows]
+    assert distances[-1] > 0.0
+    assert all(fine < coarse for coarse, fine in zip(distances, distances[1:])), distances
+
+
 SPECIAL_VALUES = (-0.0, 5e-324, -5e-324, 1e16, -1e16, 1 / 3, -1 / 3, -2.5, 0.1, 1e-300)
 
 
@@ -269,6 +284,38 @@ def test_explicit_update_beyond_the_float_range_aborts_with_the_trajectory(tmp_p
     assert run_cli(tmp_path, text) == EXIT_SOLVER
     assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
+
+
+def run_module(tmp_path, text):
+    """``python -m jumpdiff run`` on ``text`` in a fresh interpreter, which prints every warning."""
+    cfg = tmp_path / "module.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "jumpdiff", "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "module_out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    proc = run_module(tmp_path, IMPLICIT)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert run_cli(tmp_path, IMPLICIT, "in_process") == EXIT_OK
+    files = sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "module_out").iterdir())
+    for name in files:
+        assert (tmp_path / "module_out" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+
+@pytest.mark.parametrize("changes", [
+    {"kernel.m": "3.5", "solver.r": "1e200"},   # f'(R) = m R^(m - 1) beyond the float range
+    {"kernel.family": "p_laplacian", "kernel.p": "4", "solver.r": "1e200"},   # (2R)^(p - 2) too
+    {"profile.kind": "box", "profile.height": "1e300", "solver.integrator": "explicit_euler"},   # f(R), |u|^2 too
+])
+def test_values_beyond_the_float_range_abort_in_one_line(tmp_path, changes):
+    proc = run_module(tmp_path, config_text(SMALL, changes))
+    assert proc.returncode == EXIT_SOLVER
+    assert one_line(proc.stderr).startswith("solver aborted: ")
 
 
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):

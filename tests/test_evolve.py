@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,12 @@ from jumpdiff.evolve import (
     step_backward_picard,
 )
 from jumpdiff.kernels import (
+    make_convex_diffusion,
     make_fractional_heat,
+    make_p_laplacian,
     make_porous_medium,
+    phi_power,
+    power_abs,
     power_law_density,
     power_odd,
     regular_bound_M,
@@ -199,9 +204,9 @@ class TestImplicitDivergence:
         seen = []
         solve = evolve.step_backward_picard
 
-        def recording(ctx, u, dt, tol, max_iters):
+        def recording(ctx, u, dt, tol, max_iters, guess=None):
             seen.append(dt)
-            return solve(ctx, u, dt, tol, max_iters)
+            return solve(ctx, u, dt, tol, max_iters, guess)
 
         monkeypatch.setattr(evolve, "step_backward_picard", recording)
         dt = self.dt_times_2m(2.0)
@@ -217,7 +222,7 @@ class TestImplicitDivergence:
     def test_dt_grows_back_after_halving(self, monkeypatch):
         seen = []
 
-        def diverges_twice(ctx, u, dt, tol, max_iters):
+        def diverges_twice(ctx, u, dt, tol, max_iters, guess=None):
             seen.append(dt)
             if len(seen) <= 2:
                 raise evolve.PicardDivergedError("stub divergence", 1.0, 1)
@@ -247,22 +252,109 @@ class TestImplicitDivergence:
             implicit(1, picard_max_iters=0)
 
 
-@pytest.mark.parametrize("dt_factor, max_iters", [(0.5, 60), (8.0, 8)])
-def test_picard_iters_count_every_apply(monkeypatch, dt_factor, max_iters):
-    applies = 0
+@pytest.fixture
+def applies(monkeypatch):
+    """``applies[0]`` counts the operator applies made through ``evolve``."""
+    count = [0]
     raw = evolve._apply_raw
 
     def counting(ctx, v, u):
-        nonlocal applies
-        applies += 1
+        count[0] += 1
         return raw(ctx, v, u)
 
     monkeypatch.setattr(evolve, "_apply_raw", counting)
+    return count
+
+
+@pytest.mark.parametrize("dt_factor, max_iters", [(0.5, 60), (8.0, 8)])
+def test_picard_iters_count_every_apply(applies, dt_factor, max_iters):
     dt = 2.0 * dt_factor * DT
     traj = run(CTX, box(CTX), SolverConfig(end_time=9 * dt, dt=dt, snapshot_every=4 * dt,
                                            picard_max_iters=max_iters))
     assert len(traj.dts) > traj.snapshot_count()
-    assert sum(traj.picard_iters) == sum(r.picard_iters for r in traj.records) == applies
+    assert sum(traj.picard_iters) == sum(r.picard_iters for r in traj.records) == applies[0]
+
+
+def warm_start_context(family, dimension):
+    grid = make_grid(dimension, 64 if dimension == 1 else 10, 1.0)
+    mu = power_law_density(0.5, dimension)
+    kernel = {
+        "porous_medium": lambda: make_porous_medium(power_odd(2.0), mu),
+        "p_laplacian": lambda: make_p_laplacian(phi_power(3.0), mu),
+        "convex_diffusion": lambda: make_convex_diffusion(power_abs(2.0), mu),
+    }[family]()
+    return build_context(grid, regularize(kernel, grid.spacing), 1.0)
+
+
+WARM_STEPS = 8
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family", ["porous_medium", "p_laplacian", "convex_diffusion"])
+class TestWarmStart:
+    """``run`` starts each solve from the extrapolated trajectory; a cold start steps from ``u``."""
+
+    def runs(self, family, dimension, applies):
+        ctx = warm_start_context(family, dimension)
+        u0 = box(ctx)
+        dt = cfl_dt(ctx, ctx.bound_R, SolverConfig().cfl_theta)
+        cold = [u0]
+        for _ in range(WARM_STEPS):
+            cold.append(step_backward_picard(ctx, cold[-1], dt, TOL, 60)[0])
+        cold_applies = applies[0]
+        # No solver.dt: implicit steps at the CFL dt, as `jumpdiff run` takes them by default.
+        warm = run(ctx, u0, SolverConfig(end_time=WARM_STEPS * dt, snapshot_every=dt))
+        assert len(warm.fields) == WARM_STEPS + 1
+        return ctx, cold, cold_applies, warm, applies[0] - cold_applies
+
+    def test_stays_within_the_tolerance_of_a_cold_start(self, family, dimension, applies):
+        ctx, cold, _, warm, _ = self.runs(family, dimension, applies)
+        for k, (c, w) in enumerate(zip(cold, warm.fields)):
+            assert np.abs(c.values - w.values).sum() * ctx.grid.cell_volume <= 2.0 * TOL * k
+
+    def test_spends_fewer_applies_than_a_cold_start(self, family, dimension, applies):
+        _, _, cold_applies, warm, warm_applies = self.runs(family, dimension, applies)
+        assert warm_applies == sum(warm.picard_iters)
+        assert warm_applies < cold_applies
+
+
+def test_converged_guess_returns_in_one_apply():
+    u0 = box(CTX)
+    w_star, _ = step_backward_picard(CTX, u0, DT, 1e-14, 60)
+    w, k = step_backward_picard(CTX, u0, DT, TOL, 60, guess=w_star)
+    assert k == 1
+    assert np.abs(w.values - w_star.values).sum() * CTX.grid.cell_volume <= TOL
+    assert abs(mass(w) - mass(u0)) <= roundoff(CTX, 1)
+
+
+def test_the_attempt_after_a_divergence_starts_cold(monkeypatch):
+    guesses = []
+    solve = evolve.step_backward_picard
+
+    def diverges_once(ctx, u, dt, tol, max_iters, guess=None):
+        guesses.append(guess)
+        if len(guesses) == 2:
+            raise evolve.PicardDivergedError("stub divergence", 1.0, 1)
+        return solve(ctx, u, dt, tol, max_iters, guess)
+
+    monkeypatch.setattr(evolve, "step_backward_picard", diverges_once)
+    run(CTX, box(CTX), implicit(2))
+    # Step 1 from u0; step 2 warm, diverged, retried cold at dt/2; its second half warm again.
+    assert [g is None for g in guesses] == [True, False, True, False]
+
+
+def test_extrapolation_is_exact_for_quadratic_trajectories():
+    grid = CTX.grid
+    a, b, c = (np.random.default_rng(seed).normal(size=grid.n_cells) for seed in range(3))
+
+    def at(t):
+        return Field(grid, a + t * b + t * t * c)
+
+    history = deque([(t, at(t)) for t in (0.0, 0.3, 0.4)], maxlen=3)
+    np.testing.assert_allclose(evolve._extrapolate(history, 0.9).values, at(0.9).values, rtol=0, atol=1e-13)
+    line = deque([(t, Field(grid, a + t * b)) for t in (0.25, 0.5)])
+    np.testing.assert_allclose(evolve._extrapolate(line, 1.0).values, a + b, rtol=0, atol=1e-14)
+    assert evolve._extrapolate(deque([(0.0, at(0.0))]), 1.0) is None
 
 
 def test_explicit_step_on_a_non_finite_kernel_value_aborts_with_the_trajectory():

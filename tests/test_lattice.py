@@ -89,6 +89,16 @@ class TestNorms:
         with pytest.raises(ValueError):
             norm_lp(Field(g, np.ones(4)), 0.5)
 
+    @pytest.mark.parametrize("values, l1, l2, tv", [
+        ([3e300, -4e300, 0.0], 7e300, 5e300, 14e300),              # |u|^2 beyond the float range
+        ([1e308, -1e308, 0.0], math.inf, math.sqrt(2) * 1e308, math.inf),   # so are the sums
+    ])
+    def test_values_near_the_float_limit(self, values, l1, l2, tv):
+        u = Field(make_grid(1, 3, 3.0), values)  # h = 1
+        assert norm_lp(u, 1) == l1
+        assert norm_lp(u, 2) == pytest.approx(l2, rel=1e-15)
+        assert total_variation(u) == tv
+
     def test_homogeneity(self):
         g = make_grid(1, 16, 2.0)
         u = np.random.default_rng(0).normal(size=16)
