@@ -8,10 +8,11 @@ Exit codes form a small contract for CI use:
   lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
-  a certified row-sum bound that leaves no positive dt, an implicit step
-  that still diverged after 10 dt halvings, a non-finite kernel value or
-  update in an explicit step, a broken sup-norm guard) or a run's structural check
-  failed.
+  a certified row-sum bound that leaves no positive dt, a dt that needs
+  more steps than the step budget ``evolve.MAX_STEPS`` = 10^7, an implicit
+  step that still diverged after 10 dt halvings, a non-finite kernel value
+  or update in an explicit step, a broken sup-norm guard) or a run's
+  structural check failed.
 
 Each failure prints a one-line message on stderr, never a traceback.
 
@@ -124,8 +125,6 @@ def _write_checks(outdir: Path, tag: str, results) -> None:
 def _load_config(args) -> tuple[RunConfig, Path]:
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_config(text)
-    if args.threads is not None:
-        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     overrides = {"output_dir": args.out, "seed": args.seed}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if args.seed is not None:   # parse_config checked the seed of the file, not this one
@@ -322,7 +321,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the key=value configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
         p.add_argument("--seed", type=int, default=None, help="seed override (overrides run.seed)")
-        p.add_argument("--threads", type=int, default=None, help="deprecated; has no effect")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

@@ -16,15 +16,13 @@ Parsing collects every unknown key, type mismatch and duplicate key (with
 both line numbers), plus the first constructor problem of each section, and
 reports them together in a single :class:`ConfigError` (a constructor
 problem is prefixed with its section, as in ``kernel: amplitude must be
-positive``).  The deprecated key ``run.threads`` is accepted with a warning
-on stderr and has no effect.
+positive``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -203,9 +201,6 @@ def parse_config(text: str) -> RunConfig:
             problems.append((ln, f"duplicate key {key!r} (first set on line {seen[key]})"))
             continue
         seen[key] = ln
-        if key == "run.threads":   # deprecated: accepted with a warning, no effect
-            print(f"warning: line {ln}: {key} is deprecated and has no effect", file=sys.stderr)
-            continue
         if key not in _SCHEMA:
             problems.append((ln, f"unknown key {key!r}"))
             continue

@@ -7,9 +7,17 @@ values, hence order- and bound-preserving.  Backward Euler is the
 certifying integrator: the implicit step inherits the L^1 contraction,
 comparison and positivity properties of the semigroup exactly (up to the
 fixed-point tolerance), with no time-discretization slack.  Its nonlinear
-equation is solved by Anderson-accelerated fixed-point iteration, which
-converges without the fixed-point map being a contraction; an attempt that
-diverges anyway is retried with halved dt.  Each solve of a run starts from
+equation ``w = G(w) = u - dt L_w w`` is solved by Anderson-accelerated
+fixed-point iteration on the preconditioned map
+``H(w) = w + P^-1 (G(w) - w)``, which converges without ``G`` being a
+contraction.  ``P = I + dt s A`` is linearized backward Euler: ``A`` is the
+circulant lattice Laplacian of the kernel majorant, inverted by FFT, and
+the effective diffusivity ``s`` is fitted at every iteration to the apply
+that iteration makes, so preconditioning costs no apply.  The stop test
+and the returned ``G(w)`` are those of the unpreconditioned map, so mass
+stays exact.  An attempt whose residual grows, stalls (does not halve
+within ``ANDERSON_MEMORY`` iterations) or outlasts the iteration budget is
+retried with halved dt.  Each solve of a run starts from
 the quadratic extrapolation of the last accepted states, which costs no
 operator apply; the first one, and an attempt right after a divergence,
 start from the current state.
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics
-from .kernels import JumpKernel, RegularizedKernel, regular_bound_M, regularize
+from .kernels import JumpKernel, RegularizedKernel, lattice_majorant, regular_bound_M, regularize
 from .lattice import Field, GridSpec, bump, offset_distances
 from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
 
@@ -57,10 +65,15 @@ INTEGRATORS = ("explicit_euler", "backward_euler_picard")
 # violated CFL condition or a diverged fixed point, and the run aborts.
 SUP_NORM_SLACK = 1e-10
 
+# The most time steps a run may take.  The largest test or benchmark config
+# takes 624; a certified but tiny dt would otherwise run for ever.
+MAX_STEPS = 10**7
+
 # Anderson acceleration of the implicit solve: the number of past residual
-# differences mixed into each iterate, the condition number of the
-# least-squares factor above which the oldest of them are dropped, and the
-# growth of the residual over its first value that counts as divergence.
+# differences mixed into each iterate (and the span of iterations over
+# which the residual must halve), the condition number of the least-squares
+# factor above which the oldest of them are dropped, and the growth of the
+# residual over its first value that counts as divergence.
 ANDERSON_MEMORY = 5
 ANDERSON_MAX_COND = 1e10
 DIVERGENCE_FACTOR = 1e3
@@ -174,18 +187,30 @@ def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | Non
 
 def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
                          max_iters: int, guess: Field | None = None) -> tuple[Field, int]:
-    """Solve ``w = u - dt * L_w w`` by Anderson-accelerated fixed-point iteration.
+    """Solve ``w = u - dt * L_w w`` by preconditioned Anderson-accelerated fixed-point iteration.
 
     The fixed-point map is ``G(w) = u - dt * L_w w``.  The first iterate is
     ``guess``, or ``u`` when no guess is given; a guess is only a starting
-    point and costs no apply.  Each iteration makes
-    one evaluation of ``G`` (one operator apply) and then mixes the last
-    ``ANDERSON_MEMORY`` evaluations (type-II Anderson acceleration, Walker &
-    Ni 2011): the next iterate is ``G(w_k) - dG gamma``, where ``gamma``
-    minimises ``||f_k - dF gamma||_2`` over the recent residual differences
-    ``dF`` (residual ``f = G(w) - w``).  Unlike plain Picard iteration this
-    does not need ``G`` to be a contraction, so steps with ``dt * 2 M_R >= 1``
+    point and costs no apply.  Each iteration makes one evaluation of ``G``
+    (one operator apply) and then mixes the last ``ANDERSON_MEMORY``
+    evaluations of the preconditioned map ``H(w) = w + P^-1 (G(w) - w)``
+    (type-II Anderson acceleration, Walker & Ni 2011): the next iterate is
+    ``H(w_k) - dH gamma``, where ``gamma`` minimises ``||p_k - dP gamma||_2``
+    over the recent differences ``dP`` of the preconditioned residual
+    ``p = P^-1 (G(w) - w)``.  Unlike plain Picard iteration this does not
+    need ``G`` to be a contraction, so steps with ``dt * 2 M_R >= 1``
     converge too.
+
+    ``P = I + dt s A`` is linearized backward Euler with a circulant ``A``:
+    the lattice Laplacian of the majorant weights on the operator's pair set
+    (:func:`kernels.lattice_majorant`), applied through its symbol
+    ``lambda_k = sum_o w_o h^N (1 - cos 2 pi k.o / M)`` (one FFT of the
+    weights per solve).  The effective diffusivity
+    ``s = max(0, <A w, L_w w> / <A w, A w>)`` is fitted at every iteration
+    from the apply that iteration makes: about 1 for fractional heat, about
+    ``f'(w) / sup f'`` for porous medium, 0 when ``A w = 0``.  Since
+    ``lambda_0 = 0``, ``P^-1`` keeps the mass of the residual.  A majorant
+    weight that is not finite leaves ``P = I``.
 
     Stops when ``||G(w) - w||_1 <= tol`` and returns ``(G(w), k)``, ``k``
     being the number of operator applies.  Because the returned field is an
@@ -194,18 +219,20 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
 
     Raises :class:`PicardDivergedError` when the tolerance is not reached in
     ``max_iters`` iterations, when the residual is not finite or grows
-    ``DIVERGENCE_FACTOR`` times above the first one, or when the kernel
-    evaluates to a non-finite value on an iterate.
+    ``DIVERGENCE_FACTOR`` times above the first one, when it stalls (is not
+    below half its value ``ANDERSON_MEMORY`` iterations earlier), or when
+    the kernel evaluates to a non-finite value on an iterate.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     hn = ctx.grid.cell_volume
     uv = u.values
     w = uv if guess is None else guess.values
-    d_f: list[np.ndarray] = []
-    d_g: list[np.ndarray] = []
-    f_prev = g_prev = None
-    first = None
+    precondition = _spectral_preconditioner(ctx)
+    d_p: list[np.ndarray] = []
+    d_h: list[np.ndarray] = []
+    p_prev = h_prev = None
+    residuals: list[float] = []
     for k in range(1, max_iters + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -217,23 +244,58 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
         residual = float(np.abs(f).sum() * hn)
         if residual <= tol:
             return Field(ctx.grid, g), k
-        if first is None:
-            first = residual
-        if not math.isfinite(residual) or residual > DIVERGENCE_FACTOR * first:
+        residuals.append(residual)
+        if not math.isfinite(residual) or residual > DIVERGENCE_FACTOR * residuals[0]:
             raise PicardDivergedError(
                 f"fixed-point iteration diverged at iteration {k} "
-                f"(residual {residual:.3e}, first {first:.3e})", residual, k)
-        if f_prev is not None:
-            d_f.append(f - f_prev)
-            d_g.append(g - g_prev)
-            if len(d_f) > ANDERSON_MEMORY:
-                del d_f[0], d_g[0]
-        f_prev, g_prev = f, g
-        w = g - _anderson_correction(d_f, d_g, f)
+                f"(residual {residual:.3e}, first {residuals[0]:.3e})", residual, k)
+        if k > ANDERSON_MEMORY and residual >= 0.5 * residuals[-1 - ANDERSON_MEMORY]:
+            raise PicardDivergedError(
+                f"fixed-point iteration stalled at iteration {k} (residual {residual:.3e}, "
+                f"{residuals[-1 - ANDERSON_MEMORY]:.3e} {ANDERSON_MEMORY} iterations earlier)", residual, k)
+        p = precondition(w, uv - g, f)
+        h = w + p
+        if p_prev is not None:
+            d_p.append(p - p_prev)
+            d_h.append(h - h_prev)
+            if len(d_p) > ANDERSON_MEMORY:
+                del d_p[0], d_h[0]
+        p_prev, h_prev = p, h
+        w = h - _anderson_correction(d_p, d_h, p)
     raise PicardDivergedError(
         f"fixed point not reached in {max_iters} iterations (last residual {residual:.3e})",
         residual, max_iters,
     )
+
+
+def _spectral_preconditioner(ctx: OperatorContext):
+    """``(w, dt_lw, f) -> P^-1 f`` with ``P = I + dt s A`` and ``dt_lw = dt * L_w w``.
+
+    ``A`` is the circulant lattice Laplacian of :func:`kernels.lattice_majorant`,
+    diagonalized by ``numpy.fft``; ``dt s`` is fitted by least squares,
+    ``max(0, <A w, dt_lw> / <A w, A w>)``.  ``P = I`` when that is not a
+    positive finite number, and for every call when a weight is not finite.
+    """
+    grid = ctx.grid
+    shape, axes = grid.shape, tuple(range(grid.dimension))
+    weights = lattice_majorant(ctx.regkernel, ctx.bound_R, grid)
+    if not np.isfinite(weights).all():
+        return lambda w, dt_lw, f: f
+    w_hat = np.fft.rfftn(weights.reshape(shape), axes=axes).real
+    symbol = (w_hat.flat[0] - w_hat) * grid.cell_volume
+
+    def circulant(x, factor):
+        return np.fft.irfftn(factor * np.fft.rfftn(x.reshape(shape), axes=axes), s=shape, axes=axes).ravel()
+
+    def precondition(w, dt_lw, f):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            aw = circulant(w, symbol)
+            dt_s = float((aw @ dt_lw) / (aw @ aw))
+        if not (math.isfinite(dt_s) and dt_s > 0.0):
+            return f
+        return circulant(f, 1.0 / (1.0 + dt_s * symbol))
+
+    return precondition
 
 
 def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
@@ -261,7 +323,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
     partial trajectory attached, as does a non-finite kernel value or
-    update in an explicit step.
+    update in an explicit step.  A run that needs more than ``MAX_STEPS``
+    steps of its dt raises :class:`SolverAbortError` before the first one.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
@@ -279,6 +342,10 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     if explicit or config.dt is None:
         max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
     dt_base = config.dt if config.dt is not None else max_dt
+    steps = T / dt_base
+    if steps > MAX_STEPS:
+        raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt_base:g}, "
+                               f"more than the budget of {MAX_STEPS:.0e}")
 
     traj = Trajectory(grid=ctx.grid)
     sup0 = float(np.max(np.abs(u0.values)))
@@ -403,7 +470,8 @@ def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_l
     ``d_k = max_t ||u^{eps_k}(t) - u^{eps_k+1}(t)||_1`` over the shared
     snapshot times.  All runs use a common fixed dt (resolved from the
     finest radius when the config leaves dt to the CFL policy) so snapshot
-    times align exactly.
+    times align exactly; a dt that needs more than ``MAX_STEPS`` steps
+    raises :class:`SolverAbortError` before any run steps.
     """
     eps_list = check_eps_list(eps_list, grid.spacing)
     if R is None:

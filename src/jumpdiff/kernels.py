@@ -78,6 +78,7 @@ __all__ = [
     "regularize",
     "levy_constant",
     "majorant_moment",
+    "lattice_majorant",
     "regular_bound_M",
 ]
 
@@ -712,6 +713,20 @@ def levy_constant(kernel, R: float, r_max: float = math.inf) -> tuple[float, flo
     return value, tail
 
 
+def lattice_majorant(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> np.ndarray:
+    """The majorant ``m_R(r_o)`` at each flat offset ``o`` of ``lattice.cutoff_mask``'s pair set, 0 elsewhere.
+
+    These per-offset weights are what :func:`regular_bound_M` sums and what
+    the implicit solve's preconditioner takes the lattice Laplacian of.  A
+    weight beyond the float range is ``inf``.
+    """
+    keep = cutoff_mask(grid, regkernel.epsilon)
+    weights = np.zeros(grid.n_cells)
+    with np.errstate(over="ignore"):
+        weights[keep] = regkernel.base.majorant(R, offset_distances(grid)[keep])
+    return weights
+
+
 def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec | None = None) -> float:
     """Certified upper bound for the row sums of the assembled kernel.
 
@@ -729,10 +744,8 @@ def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec | Non
         analytic = math.inf
     if grid is None:
         return analytic
-    with np.errstate(over="ignore"):   # a term beyond the float range is inf, and so is the sum
-        maj = np.asarray(regkernel.base.majorant(R, offset_distances(grid)[cutoff_mask(grid, eps)]), dtype=float)
-    try:
-        lattice_sum = float(math.fsum(maj) * grid.cell_volume)
+    try:   # a term beyond the float range is inf, and so is the sum
+        lattice_sum = float(math.fsum(lattice_majorant(regkernel, R, grid)) * grid.cell_volume)
     except OverflowError:   # finite terms whose exact sum overflows
         lattice_sum = math.inf
     return min(analytic, lattice_sum)

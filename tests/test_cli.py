@@ -286,14 +286,14 @@ def test_explicit_update_beyond_the_float_range_aborts_with_the_trajectory(tmp_p
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
 
 
-def run_module(tmp_path, text):
-    """``python -m jumpdiff run`` on ``text`` in a fresh interpreter, which prints every warning."""
+def run_module(tmp_path, text, command="run", timeout=120):
+    """``python -m jumpdiff COMMAND`` on ``text`` in a fresh interpreter, which prints every warning."""
     cfg = tmp_path / "module.cfg"
     cfg.write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "jumpdiff", "run", "--config", str(cfg),
+    return subprocess.run([sys.executable, "-m", "jumpdiff", command, "--config", str(cfg),
                            "--out", str(tmp_path / "module_out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
@@ -318,6 +318,18 @@ def test_values_beyond_the_float_range_abort_in_one_line(tmp_path, changes):
     assert one_line(proc.stderr).startswith("solver aborted: ")
 
 
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_a_run_beyond_the_step_budget_aborts_in_one_line(tmp_path, command):
+    # M_R is finite at R = 1e200, but its dt = 5.2e-203 would take ~2e200 steps.
+    text = config_text(SMALL, {"kernel.family": "p_laplacian", "kernel.p": "3", "solver.t": "0.01",
+                               "solver.r": "1e200"})
+    proc = run_module(tmp_path, text, command, timeout=60)
+    assert proc.returncode == EXIT_SOLVER
+    line = one_line(proc.stderr)
+    assert line.startswith("solver aborted: the run needs 1.91e+200 steps of dt = 5.23")
+    assert "budget" in line
+
+
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text(config_text(SMALL, {}), encoding="utf-8")
@@ -340,16 +352,15 @@ def test_help_exits_ok(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def test_threads_is_accepted_with_a_warning_and_changes_nothing(tmp_path, capsys):
-    assert run_cli(tmp_path, IMPLICIT, "a") == EXIT_OK
-    capsys.readouterr()
-    cfg = tmp_path / "threads.cfg"
-    cfg.write_text(IMPLICIT + "run.threads = 4\n", encoding="utf-8")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "8"]) == EXIT_OK
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2 and all("deprecated" in line for line in err)
-    for path in (tmp_path / "a").iterdir():
-        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes(), path.name
+def test_threads_is_an_unknown_key_and_flag(tmp_path, capsys):
+    assert run_cli(tmp_path, IMPLICIT + "run.threads = 4\n") == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err).endswith("line 10: unknown key 'run.threads'")
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(IMPLICIT, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "8"])
+    assert info.value.code == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err).endswith("unrecognized arguments: --threads 8")
 
 
 MUTATION_BASE = {**SMALL, "grid.m": "8", "solver.dt": "0.01"}

@@ -20,10 +20,13 @@ from jumpdiff.evolve import (
     step_backward_picard,
 )
 from jumpdiff.kernels import (
+    lattice_majorant,
     make_convex_diffusion,
+    make_doubly_nonlinear,
     make_fractional_heat,
     make_p_laplacian,
     make_porous_medium,
+    make_variable_order,
     phi_power,
     power_abs,
     power_law_density,
@@ -237,19 +240,81 @@ class TestImplicitDivergence:
         assert seen == pytest.approx([step, step / 2, step / 4, step / 2, step / 4], rel=1e-12)
         assert traj.picard_iters[-1] == 5
 
-    @pytest.mark.parametrize("factor, cause", [(1e100, type(None)), (1e200, NonFiniteKernelError)])
-    def test_runaway_iterate_raises_divergence(self, factor, cause):
-        # 1e100: the residual outgrows the first one; 1e200: the kernel overflows.
-        with pytest.raises(evolve.PicardDivergedError) as info:
-            step_backward_picard(self.CTX256, box(self.CTX256), self.dt_times_2m(factor), TOL, 60)
+    def test_residual_growth_raises_divergence(self):
+        # A majorant weight beyond the float range (f'(R) at R = 1e200) leaves the solve
+        # unpreconditioned, and its second residual outgrows the first DIVERGENCE_FACTOR times.
+        grid = self.CTX256.grid
+        kernel = make_porous_medium(power_odd(3.5), power_law_density(0.5, 1))
+        ctx = build_context(grid, regularize(kernel, grid.spacing), 1e200)
+        with pytest.raises(evolve.PicardDivergedError, match="diverged at iteration 2") as info:
+            step_backward_picard(ctx, box(ctx), self.dt_times_2m(1e3), TOL, 60)
         assert info.value.iterations == 2
-        assert isinstance(info.value.__cause__, cause)
+        assert info.value.__cause__ is None
+
+    def test_kernel_overflow_raises_divergence(self):
+        u0 = box(self.CTX256)
+        guess = Field(self.CTX256.grid, 1e200 * u0.values)   # f(a) = a |a| overflows
+        with pytest.raises(evolve.PicardDivergedError, match="left the kernel's domain") as info:
+            step_backward_picard(self.CTX256, u0, self.dt_times_2m(0.5), TOL, 60, guess=guess)
+        assert info.value.iterations == 1
+        assert isinstance(info.value.__cause__, NonFiniteKernelError)
+
+    def test_stalled_residual_raises_divergence(self):
+        with pytest.raises(evolve.PicardDivergedError, match="stalled") as info:
+            step_backward_picard(self.CTX256, box(self.CTX256), self.dt_times_2m(1e100), TOL, 60)
+        assert evolve.ANDERSON_MEMORY < info.value.iterations <= 2 * evolve.ANDERSON_MEMORY
+        assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("kernel, u0", [
+        (make_porous_medium(power_odd(2.0), power_law_density(0.5, 1)), box),
+        (make_fractional_heat(0.5), lambda ctx: random_bv(ctx, 1)),
+    ])
+    def test_step_at_eight_times_the_contraction_limit_needs_no_halving(self, kernel, u0):
+        grid = self.CTX256.grid
+        ctx = build_context(grid, regularize(kernel, grid.spacing), 1.0)
+        dt = 8.0 / (2.0 * regular_bound_M(ctx.regkernel, 1.0, grid))
+        u = u0(ctx)
+        # A PicardDivergedError here is what makes `run` halve dt.
+        w, k = step_backward_picard(ctx, u, dt, TOL, SolverConfig().picard_max_iters)
+        assert abs(mass(w) - mass(u)) <= roundoff(ctx, k)
 
     def test_empty_iteration_budget_is_rejected(self):
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             step_backward_picard(CTX, box(CTX), DT, TOL, 0)
         with pytest.raises(ValueError, match="picard_max_iters must be at least 1"):
             implicit(1, picard_max_iters=0)
+
+
+def dense_majorant_laplacian(ctx):
+    """``(A u)_i = sum_o w_o h^N (u_i - u_{i+o})`` over the majorant weights, as a matrix built offset by offset."""
+    grid = ctx.grid
+    weights = lattice_majorant(ctx.regkernel, ctx.bound_R, grid).reshape(grid.shape)
+    axes = tuple(range(grid.dimension))
+    columns = []
+    for e in np.eye(grid.n_cells):
+        x = e.reshape(grid.shape)
+        ax = sum(weights[o] * (x - np.roll(x, tuple(-k for k in o), axis=axes)) for o in zip(*np.nonzero(weights)))
+        columns.append(ax.ravel() * grid.cell_volume)
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("dimension, cells", [(1, 15), (1, 16), (2, 5), (2, 6)])
+def test_preconditioner_solves_the_fitted_linearized_step(dimension, cells):
+    grid = make_grid(dimension, cells, 1.0)
+    kernel = make_porous_medium(power_odd(2.0), power_law_density(0.5, dimension))
+    ctx = build_context(grid, regularize(kernel, grid.spacing), 1.0)
+    rng = np.random.default_rng(cells)
+    w, f, noise = (rng.uniform(-1.0, 1.0, grid.n_cells) for _ in range(3))
+    a = dense_majorant_laplacian(ctx)
+    aw = a @ w
+    dt_lw = 0.3 * aw + 0.1 * noise
+    dt_s = (aw @ dt_lw) / (aw @ aw)
+    assert dt_s > 0.0
+    p = evolve._spectral_preconditioner(ctx)(w, dt_lw, f)
+    np.testing.assert_allclose(p, np.linalg.solve(np.eye(grid.n_cells) + dt_s * a, f), rtol=0.0, atol=1e-13)
+    assert math.fsum(p) == pytest.approx(math.fsum(f), abs=1e-13)
+    # A negative fit leaves P = I.
+    assert np.array_equal(evolve._spectral_preconditioner(ctx)(w, -dt_lw, f), f)
 
 
 @pytest.fixture
@@ -275,15 +340,45 @@ def test_picard_iters_count_every_apply(applies, dt_factor, max_iters):
     assert sum(traj.picard_iters) == sum(r.picard_iters for r in traj.records) == applies[0]
 
 
-def warm_start_context(family, dimension):
+def family_context(family, dimension):
     grid = make_grid(dimension, 64 if dimension == 1 else 10, 1.0)
     mu = power_law_density(0.5, dimension)
     kernel = {
+        "fractional_heat": lambda: make_fractional_heat(0.5, dim=dimension),
         "porous_medium": lambda: make_porous_medium(power_odd(2.0), mu),
         "p_laplacian": lambda: make_p_laplacian(phi_power(3.0), mu),
+        "doubly_nonlinear": lambda: make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu),
         "convex_diffusion": lambda: make_convex_diffusion(power_abs(2.0), mu),
+        "variable_order": lambda: make_variable_order(
+            lambda s: 0.25 * (1.0 - np.exp(-s)), lambda s: 0.25 * np.exp(-s),
+            lambda r: np.full_like(r, 0.25), 0.25, 0.5, dimension),
     }[family]()
     return build_context(grid, regularize(kernel, grid.spacing), 1.0)
+
+
+@pytest.mark.parametrize("dt_factor", [0.5, 8.0])
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family", ["fractional_heat", "porous_medium", "p_laplacian", "doubly_nonlinear",
+                                    "convex_diffusion", "variable_order"])
+def test_preconditioned_solve_meets_the_unpreconditioned_stop_test(monkeypatch, family, dimension, dt_factor):
+    ctx = family_context(family, dimension)
+    iterates = []
+    raw = evolve._apply_raw
+
+    def recording(ctx, v, u):
+        iterates.append(v)
+        return raw(ctx, v, u)
+
+    monkeypatch.setattr(evolve, "_apply_raw", recording)
+    u0 = random_bv(ctx, 1)
+    dt = dt_factor / (2.0 * regular_bound_M(ctx.regkernel, 1.0, ctx.grid))
+    w, k = step_backward_picard(ctx, u0, dt, TOL, 60)
+    last = Field(ctx.grid, iterates[-1])
+    g = u0.values - dt * apply(ctx, last, last).values
+    assert k == len(iterates)
+    assert np.abs(g - last.values).sum() * ctx.grid.cell_volume <= TOL
+    np.testing.assert_allclose(w.values, g, rtol=0.0, atol=1e-15)
+    assert abs(mass(w) - mass(u0)) <= roundoff(ctx, k)
 
 
 WARM_STEPS = 8
@@ -295,7 +390,7 @@ class TestWarmStart:
     """``run`` starts each solve from the extrapolated trajectory; a cold start steps from ``u``."""
 
     def runs(self, family, dimension, applies):
-        ctx = warm_start_context(family, dimension)
+        ctx = family_context(family, dimension)
         u0 = box(ctx)
         dt = cfl_dt(ctx, ctx.bound_R, SolverConfig().cfl_theta)
         cold = [u0]
