@@ -224,8 +224,7 @@ def cmd_run(args) -> int:
 def _contraction_slack(cfg: RunConfig, traj: Trajectory) -> float:
     if cfg.diag.slack_contraction is not None:
         return cfg.diag.slack_contraction
-    steps = len(traj.dts)
-    return 2.0 * cfg.solver.picard_tol * max(steps, 1)
+    return 2.0 * cfg.solver.picard_tol * max(traj.steps, 1)
 
 
 def cmd_compare(args) -> int:

@@ -295,13 +295,18 @@ def _build_f(kc: KernelConfig):
 def build_kernel(cfg: RunConfig) -> JumpKernel:
     """Construct the configured kernel for the configured grid dimension.
 
-    Raises ``ValueError`` for an unknown family or density, and for a
-    setting the family's constructors do not admit.
+    Raises ``ValueError`` for an unknown family or density, for a density
+    key the kernel would ignore, and for a setting the family's
+    constructors do not admit.
     """
     kc = cfg.kernel
     dim = cfg.grid.dimension
     if kc.mu not in ("power_law", "compact_bump"):
         raise ValueError(f"unknown Levy density kind {kc.mu!r}")
+    if kc.mu != "power_law" and kc.family in ("zero", "fractional_heat", "variable_order"):
+        raise ValueError(f"family {kc.family!r} does not use kernel.mu (got {kc.mu!r})")
+    if kc.r0 is not None and kc.mu != "compact_bump":
+        raise ValueError("kernel.r0 is the support radius of kernel.mu = compact_bump, which is not set")
     if kc.family == "zero":
         return make_zero_kernel(dim)
     if kc.family == "fractional_heat":

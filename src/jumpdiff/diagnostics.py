@@ -16,7 +16,7 @@ bumps; it is a consistency indicator (first order in dt), not a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,11 +56,11 @@ class DiagnosticsRecord:
     tail_estimate: float
     picard_iters: int
 
-    COLUMNS = ("t", "mass", "l1", "l2", "linf", "tv", "bv",
-               "min_value", "max_value", "tail_estimate", "picard_iters")
-
     def as_row(self) -> tuple:
-        return tuple(getattr(self, c) for c in self.COLUMNS)
+        return tuple(getattr(self, c) for c in self.COLUMNS)   # not astuple, which deep-copies
+
+
+DiagnosticsRecord.COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)

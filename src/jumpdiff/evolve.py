@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics
-from .kernels import JumpKernel, RegularizedKernel, lattice_majorant, regular_bound_M, regularize
+from .kernels import JumpKernel, lattice_majorant, regular_bound_M, regularize
 from .lattice import Field, GridSpec, bump, offset_distances
 from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
 
@@ -142,11 +142,7 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     fields: list[Field] = field(default_factory=list)
     records: list = field(default_factory=list)
-    dts: list[float] = field(default_factory=list)
-    picard_iters: list[int] = field(default_factory=list)
-
-    def snapshot_count(self) -> int:
-        return len(self.times)
+    steps: int = 0
 
     def series(self, quantity: str) -> list[float]:
         return [getattr(rec, quantity) for rec in self.records]
@@ -154,6 +150,11 @@ class Trajectory:
 
 def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) -> float:
     """Stable explicit step ``theta / (2 M_R)``; ``fallback`` if the bound is 0.
+
+    ``M_R`` is :func:`kernels.regular_bound_M`, the majorant's lattice sum,
+    which dominates every row ``sum_j m_eps(u_i, u_j; r_ij) h^N`` with
+    ``|u| <= R``; at this dt each explicit step is a convex combination of
+    cell values, ``u_i`` weighing at least ``1 - theta / 2``.
 
     Raises :class:`SolverAbortError` when that step is not positive, as for
     a bound ``M_R`` beyond the float range: no time step is certified.
@@ -169,14 +170,14 @@ def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) 
     return dt
 
 
-def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | None = None,
-                  allow_cfl_violation: bool = False) -> Field:
+def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | None = None) -> Field:
     """One forward Euler step ``u - dt * L_u u``.
 
-    Raises :class:`SolverAbortError` (without a trajectory) when the update
-    leaves the float range.
+    Raises :class:`CflViolationError` when ``dt`` exceeds ``max_dt`` (None:
+    no limit), and :class:`SolverAbortError` (without a trajectory) when the
+    update leaves the float range.
     """
-    if max_dt is not None and dt > max_dt * (1.0 + 1e-12) and not allow_cfl_violation:
+    if max_dt is not None and dt > max_dt * (1.0 + 1e-12):
         raise CflViolationError(f"dt = {dt:g} exceeds the CFL limit {max_dt:g}")
     with np.errstate(over="ignore", invalid="ignore"):
         values = u.values - dt * _apply_raw(ctx, u.values, u.values)
@@ -355,7 +356,6 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         traj.times.append(t)
         traj.fields.append(u_field)
         traj.records.append(rec)
-        traj.picard_iters.append(iters)
 
     emit(0.0, u0, 0)
     u = u0
@@ -367,14 +367,14 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         dt = min(dt_base, T - t)
         if explicit:
             try:
-                u_next = step_explicit(ctx, u, dt, max_dt=max_dt, allow_cfl_violation=config.cfl_override)
+                u_next = step_explicit(ctx, u, dt, max_dt=None if config.cfl_override else max_dt)
             except (NonFiniteKernelError, SolverAbortError) as exc:
                 raise SolverAbortError(f"explicit step from t = {t:g}: {exc}", traj) from exc
         else:
             u_next, k = _implicit_step_with_retries(ctx, history, dt, config, traj)
             iters += k
         t += dt
-        traj.dts.append(dt)
+        traj.steps += 1
 
         sup = float(np.max(np.abs(u_next.values)))
         if sup > sup0 + SUP_NORM_SLACK:

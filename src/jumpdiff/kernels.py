@@ -37,9 +37,10 @@ kernel's ``eval_fn``: a kernel whose ``eval_fn`` is replaced (say by
 coefficient field is the field itself; everything else evaluates ``m``.
 
 Regularization composes a kernel with a ramp in ``|a - b|`` and a spatial
-cutoff at radius ``epsilon``.  The result is bounded row-wise by
-``epsilon^-1 K_R`` (condition B1) and Lipschitz in the field arguments (B2),
-which is what the fixed-point time stepper needs.
+cutoff at radius ``epsilon``.  The result has bounded rows (condition B1),
+certified on the lattice by the majorant's lattice sum
+(:func:`regular_bound_M`), not by ``epsilon^-1 K_R``, which a midpoint row
+can exceed; and it is Lipschitz in the field arguments (B2).
 """
 
 from __future__ import annotations
@@ -727,25 +728,17 @@ def lattice_majorant(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> 
     return weights
 
 
-def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec | None = None) -> float:
-    """Certified upper bound for the row sums of the assembled kernel.
+def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> float:
+    """Certified bound ``M_R`` on the row sums of the assembled kernel on ``grid``.
 
-    Combines the analytic bound ``eps^-1 K_R`` with, when a grid is given,
-    the direct lattice sum of the majorant over offsets with ``r >= eps``
-    (whichever is smaller).  Every actual row sum with field values in
-    ``[-R, R]`` is dominated by both.  A sum beyond the float range is
-    ``inf``.
+    The lattice majorant sum ``sum_o m_R(r_o) h^N`` over
+    ``lattice.cutoff_mask``'s pair set (:func:`lattice_majorant`).  With
+    field values in ``[-R, R]`` each kernel value is at most the majorant
+    (A5) and the ramp at most 1, so this sum dominates every row.  The
+    integral ``eps^-1 K_R`` of condition B1 is no such bound: a midpoint
+    sum can exceed its integral.  A sum beyond the float range is ``inf``.
     """
-    eps = regkernel.epsilon
-    try:
-        k_r, _ = levy_constant(regkernel.base, R)
-        analytic = k_r / eps
-    except QuadratureDivergenceError:
-        analytic = math.inf
-    if grid is None:
-        return analytic
     try:   # a term beyond the float range is inf, and so is the sum
-        lattice_sum = float(math.fsum(lattice_majorant(regkernel, R, grid)) * grid.cell_volume)
+        return float(math.fsum(lattice_majorant(regkernel, R, grid)) * grid.cell_volume)
     except OverflowError:   # finite terms whose exact sum overflows
-        lattice_sum = math.inf
-    return min(analytic, lattice_sum)
+        return math.inf

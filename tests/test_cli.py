@@ -252,6 +252,17 @@ def config_text(base, changes):
     ("converge", {"solver.eps_list": "2, 1"}, "kernel: epsilon must lie in (0, 1], got 2.0"),
     ("validate", {"validate.epsilon": "3"}, "validate: epsilon must lie in (0, 1]"),
     ("validate", {"run.seed": "-1"}, "validate: seed must be non-negative, got -1"),
+    *((command, {"kernel.family": "fractional_heat", "kernel.mu": "compact_bump", "kernel.r0": "0.1"},
+       "kernel: family 'fractional_heat' does not use kernel.mu (got 'compact_bump')")
+      for command in ("run", "compare", "converge", "validate")),
+    ("run", {"kernel.family": "variable_order", "kernel.mu": "compact_bump", "kernel.r0": "0.1"},
+     "kernel: family 'variable_order' does not use kernel.mu (got 'compact_bump')"),
+    ("validate", {"kernel.family": "zero", "kernel.mu": "compact_bump"},
+     "kernel: family 'zero' does not use kernel.mu (got 'compact_bump')"),
+    ("run", {"kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius of kernel.mu = compact_bump"),
+    ("compare", {"kernel.family": "fractional_heat", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
+    ("converge", {"kernel.family": "variable_order", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
+    ("validate", {"kernel.family": "zero", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
     ("converge", {"grid.l": "3", "grid.m": "8"}, "solver.eps_list: default radii 4h, 2h, h: epsilon must lie"),
     ("converge", {"grid.l": "1", "grid.m": "4"},
      "solver.eps_list: default radii 4h, 2h, h: empty neighborhood: epsilon = 1 exceeds the largest torus distance 0.5"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jumpdiff.axioms import VIOLATION_RTOL, check_axioms
+from jumpdiff.axioms import VIOLATION_RTOL, check_axioms, check_regular
 from jumpdiff.kernels import (
     JumpKernel,
     LevyDensity,
@@ -28,7 +28,7 @@ from jumpdiff.kernels import (
     smooth_ramp,
     table_function,
 )
-from jumpdiff.lattice import Profile, make_grid, offset_distances, sample_profile
+from jumpdiff.lattice import Field, Profile, make_grid, offset_distances, sample_profile
 from jumpdiff.operator import build_context, max_row_sum
 
 MU1 = compact_bump_density(1e9, dim=1)  # mu == 1 on every relevant distance
@@ -385,20 +385,27 @@ class TestRegularBoundM:
 
     def test_lattice_sum_oracle(self):
         # M = 8, L = 8, h = 1, eps = 1: minimal-image distances per offset are
-        # {1,2,3,4,3,2,1}; the bound is the smaller of the direct sum of
-        # r^(-1.5) over those and eps^(-1) K_R.
+        # {1,2,3,4,3,2,1}; the bound is the direct sum of r^(-1.5) over those.
         g = make_grid(1, 8, 8.0)
-        k = make_fractional_heat(0.5, 1.0, dim=1)
-        reg = regularize(k, 1.0)
-        dists = offset_distances(g)[1:]
-        direct = sum(float(d) ** -1.5 for d in dists) * g.spacing
-        analytic = levy_constant(k, 1.0)[0] / 1.0
-        assert regular_bound_M(reg, 1.0, g) == pytest.approx(min(direct, analytic), rel=1e-9)
+        reg = regularize(make_fractional_heat(0.5, 1.0, dim=1), 1.0)
+        direct = sum(float(d) ** -1.5 for d in offset_distances(g)[1:]) * g.spacing
+        assert regular_bound_M(reg, 1.0, g) == pytest.approx(direct, rel=1e-9)
 
-    def test_without_grid_uses_analytic_bound(self):
-        k = make_fractional_heat(0.5, 1.0, dim=1)
-        reg = regularize(k, 0.5)
-        assert regular_bound_M(reg, 1.0) == pytest.approx(8.0 / 0.5, rel=1e-3)
+    @pytest.mark.parametrize("dim, r0_cells", [(1, 1.0), (1, 1.3), (2, 1.0), (2, 1.5)])
+    def test_bounds_every_row_where_the_integral_does_not(self, dim, r0_cells):
+        # With f = id the kernel is the bump itself, and eps^-1 K_R undercuts its lattice
+        # rows: in 1-d with r0 = h it is h = 0.0625, and a checkerboard's rows sum to 2h.
+        g = make_grid(dim, 16, 1.0)
+        h = g.spacing
+        reg = regularize(make_porous_medium(power_odd(1.0), compact_bump_density(r0_cells * h, dim)), h)
+        ctx = build_context(g, reg, 1.0)
+        bound = regular_bound_M(reg, 1.0, g)
+        assert max_row_sum(ctx, sample_profile(Profile("two_level"), g)) <= bound
+        spike = -np.ones(g.n_cells)
+        spike[0] = 1.0   # every pair of the spike's row lies on the ramp's plateau
+        assert max_row_sum(ctx, Field(g, spike)) == pytest.approx(bound, rel=1e-12)
+        b1 = check_regular(reg, g, 1.0)[0]
+        assert (b1.axiom, b1.verdict) == ("B1", "pass")
 
 
 class TestTableFunction:

@@ -1,0 +1,55 @@
+"""The public names and signatures the benchmark in ``perfbench/`` calls.
+
+``perfbench/selftest.py`` runs the benchmark itself (about a minute) and
+sits outside the tier-1 suite; this checks, in well under a second, that
+the call chain it pins still exists: ``child.prepare`` on every workload's
+``tiny`` config, the calls of ``child.layers``, every ``spans.HOOKS``
+attribute, and the ``max_iters`` argument that ``spans`` binds by name.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from jumpdiff import diagnostics, evolve
+from jumpdiff.operator import apply
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """``perfbench/<name>.py`` as a module of its own, without putting ``perfbench/`` on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)   # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+child, spans, workloads = load("child"), load("spans"), load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_prepare_runs_on_the_tiny_config(tmp_path, name):
+    config = tmp_path / "run.cfg"
+    config.write_text(workloads.WORKLOADS[name].config_text("tiny", 5), encoding="utf-8")
+    cfg, sc, regk, u0, R, ctx, dt = child.prepare(str(config))
+    assert sc.epsilon == regk.epsilon and 0.0 < sc.cfl_theta <= 1.0
+    assert dt == evolve.cfl_dt(ctx, R, sc.cfl_theta) > 0.0
+    assert apply(ctx, u0, u0).values.shape == u0.values.shape
+    assert diagnostics.record(ctx, 0.0, u0).mass == pytest.approx(float(u0.values.sum()) * cfg.grid.cell_volume)
+
+
+@pytest.mark.parametrize("module, attr", spans.HOOKS)
+def test_every_hooked_name_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"jumpdiff.{module}"), attr))
+
+
+def test_the_solve_binds_max_iters_by_name():
+    args = (object(), object(), 1e-3, 1e-12, 7)
+    bound = inspect.signature(evolve.step_backward_picard).bind(*args)
+    assert bound.arguments["max_iters"] == 7
+    assert set(spans.STEP_HOOKS) <= set(spans.HOOK_NAMES)
