@@ -274,6 +274,17 @@ _F_KINDS = {
     "doubly_nonlinear": (("power_odd", "table"), "a differentiable non-decreasing f"),
     "convex_diffusion": (("power_abs", "table"), "a convex non-negative f"),
 }
+_FAMILIES = ("zero", "fractional_heat", "variable_order", "p_laplacian", *_F_KINDS)
+
+# The optional kernel keys and the families that read them.
+_KEY_READERS = {
+    "f": tuple(_F_KINDS),
+    "m": tuple(_F_KINDS),
+    "f_table": tuple(_F_KINDS),
+    "p": ("p_laplacian", "doubly_nonlinear"),
+    "a1": ("variable_order",),
+    "a2": ("variable_order",),
+}
 
 
 def _build_f(kc: KernelConfig):
@@ -295,18 +306,29 @@ def _build_f(kc: KernelConfig):
 def build_kernel(cfg: RunConfig) -> JumpKernel:
     """Construct the configured kernel for the configured grid dimension.
 
-    Raises ``ValueError`` for an unknown family or density, for a density
-    key the kernel would ignore, and for a setting the family's
-    constructors do not admit.
+    Raises ``ValueError`` for an unknown family or density, for a kernel
+    key the kernel would ignore (set at all, or for ``alpha`` and
+    ``amplitude`` set away from their defaults), and for a setting the
+    family's constructors do not admit.
     """
     kc = cfg.kernel
     dim = cfg.grid.dimension
     if kc.mu not in ("power_law", "compact_bump"):
         raise ValueError(f"unknown Levy density kind {kc.mu!r}")
+    if kc.family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {kc.family!r}")
     if kc.mu != "power_law" and kc.family in ("zero", "fractional_heat", "variable_order"):
         raise ValueError(f"family {kc.family!r} does not use kernel.mu (got {kc.mu!r})")
     if kc.r0 is not None and kc.mu != "compact_bump":
         raise ValueError("kernel.r0 is the support radius of kernel.mu = compact_bump, which is not set")
+    unused = [key for key, readers in _KEY_READERS.items()
+              if getattr(kc, key) is not None and kc.family not in readers]
+    if kc.family in ("zero", "variable_order"):
+        unused += [key for key in ("alpha", "amplitude") if getattr(kc, key) != getattr(KernelConfig, key)]
+    if unused:
+        raise ValueError(f"family {kc.family!r} does not use " + ", ".join(f"kernel.{key}" for key in unused))
+    if kc.mu == "compact_bump" and kc.alpha != KernelConfig.alpha:
+        raise ValueError(f"kernel.mu = compact_bump does not use kernel.alpha (got {kc.alpha!r})")
     if kc.family == "zero":
         return make_zero_kernel(dim)
     if kc.family == "fractional_heat":
@@ -325,8 +347,6 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
             return np.full_like(np.asarray(z, dtype=float), a1)
 
         return make_variable_order(psi1, psi2, theta, a1, a2, dim)
-    if kc.family != "p_laplacian" and kc.family not in _F_KINDS:
-        raise ValueError(f"unknown kernel family {kc.family!r}")
 
     if kc.mu == "power_law":
         mu = power_law_density(kc.alpha, dim, kc.amplitude)

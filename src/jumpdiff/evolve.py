@@ -10,10 +10,13 @@ fixed-point tolerance), with no time-discretization slack.  Its nonlinear
 equation ``w = G(w) = u - dt L_w w`` is solved by Anderson-accelerated
 fixed-point iteration on the preconditioned map
 ``H(w) = w + P^-1 (G(w) - w)``, which converges without ``G`` being a
-contraction.  ``P = I + dt s A`` is linearized backward Euler: ``A`` is the
-circulant lattice Laplacian of the kernel majorant, inverted by FFT, and
-the effective diffusivity ``s`` is fitted at every iteration to the apply
-that iteration makes, so preconditioning costs no apply.  The stop test
+contraction.  ``P = I + A diag(E)`` is linearized backward Euler: ``A`` is
+the circulant lattice Laplacian of the kernel majorant, and the cell
+diffusivity ``E = c D(w) + s`` is the kernel's own diagonal ``D(w)`` over
+its majorant, with ``c`` and ``s`` fitted at every iteration to the apply
+that iteration makes, so preconditioning costs no apply.  A constant ``E``
+is inverted by one FFT pair; otherwise a few GMRES steps, preconditioned by
+the circulant ``I + mean(E) A``, solve ``P x = f`` by FFTs.  The stop test
 and the returned ``G(w)`` are those of the unpreconditioned map, so mass
 stays exact.  An attempt whose residual grows, stalls (does not halve
 within ``ANDERSON_MEMORY`` iterations) or outlasts the iteration budget is
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import diagnostics
 from .kernels import JumpKernel, lattice_majorant, regular_bound_M, regularize
-from .lattice import Field, GridSpec, bump, offset_distances
+from .lattice import Field, GridSpec, bump, cutoff_mask, offset_distances
 from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
 
 __all__ = [
@@ -202,16 +205,21 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
     need ``G`` to be a contraction, so steps with ``dt * 2 M_R >= 1``
     converge too.
 
-    ``P = I + dt s A`` is linearized backward Euler with a circulant ``A``:
-    the lattice Laplacian of the majorant weights on the operator's pair set
-    (:func:`kernels.lattice_majorant`), applied through its symbol
+    ``P = I + A diag(E)`` is linearized backward Euler with a circulant
+    ``A``, the lattice Laplacian of the majorant weights on the operator's
+    pair set (:func:`kernels.lattice_majorant`), applied through its symbol
     ``lambda_k = sum_o w_o h^N (1 - cos 2 pi k.o / M)`` (one FFT of the
-    weights per solve).  The effective diffusivity
-    ``s = max(0, <A w, L_w w> / <A w, A w>)`` is fitted at every iteration
-    from the apply that iteration makes: about 1 for fractional heat, about
-    ``f'(w) / sup f'`` for porous medium, 0 when ``A w = 0``.  Since
-    ``lambda_0 = 0``, ``P^-1`` keeps the mass of the residual.  A majorant
-    weight that is not finite leaves ``P = I``.
+    weights per solve).  ``E = c D(w) + s`` is the kernel's own cell
+    diffusivity: ``D(w)`` is the base kernel's diagonal over its majorant
+    (``f'(w) / sup f'`` for porous medium, so ``E`` vanishes on a zero
+    background), and ``c, s >= 0`` are fitted at every iteration from the
+    apply that iteration makes.  A constant ``E`` is inverted by one FFT
+    pair; otherwise ``ANDERSON_MEMORY`` GMRES steps, preconditioned by the
+    circulant ``I + mean(E) A``, solve ``P x = f`` by FFTs and no apply
+    (:func:`_spectral_preconditioner` gives the fit and the fallbacks).
+    ``P^-1`` keeps the mass of the residual and never raises its L^1 norm.
+    A majorant weight that is not finite, or a fit that is not positive,
+    leaves ``P = I``.
 
     Stops when ``||G(w) - w||_1 <= tol`` and returns ``(G(w), k)``, ``k``
     being the number of operator applies.  Because the returned field is an
@@ -269,13 +277,33 @@ def step_backward_picard(ctx: OperatorContext, u: Field, dt: float, tol: float,
     )
 
 
-def _spectral_preconditioner(ctx: OperatorContext):
-    """``(w, dt_lw, f) -> P^-1 f`` with ``P = I + dt s A`` and ``dt_lw = dt * L_w w``.
+def _spectral_preconditioner(ctx: OperatorContext, krylov_steps: int = ANDERSON_MEMORY):
+    """``(w, dt_lw, f) -> P^-1 f`` with ``P = I + A diag(E)``, ``E = c D(w) + s`` and ``dt_lw = dt * L_w w``.
 
     ``A`` is the circulant lattice Laplacian of :func:`kernels.lattice_majorant`,
-    diagonalized by ``numpy.fft``; ``dt s`` is fitted by least squares,
-    ``max(0, <A w, dt_lw> / <A w, A w>)``.  ``P = I`` when that is not a
-    positive finite number, and for every call when a weight is not finite.
+    diagonalized by ``numpy.fft``.  ``D(w)`` and ``K(w)`` are the base
+    kernel's diagonal and chord to 0 over its majorant at the pair set's
+    nearest offset (:func:`_majorant_ratio`): ``D`` is the tangent
+    coefficient of the flux, ``K`` its secant, so the fit
+    ``c, s >= 0 = argmin ||dt_lw - c A(K w) - s A w||_2``
+    (:func:`_nonnegative_fit`) measures ``c`` on ``dt L_w w`` itself and
+    ``E`` uses it on the tangent: for porous medium ``c = dt`` and
+    ``P = I + dt A diag(f'(w) / sup f')`` is the Jacobian of ``w - G(w)``
+    without the ramp.
+
+    Fallbacks, in order:
+
+    - a majorant weight that is not finite: ``P = I`` for every call;
+    - ``D`` constant, absent (no positive finite majorant at ``r_1``), not
+      finite or negative: the scalar fit ``s = <A w, dt_lw> / <A w, A w>``
+      alone, and ``E = s``;
+    - a fit that is not finite, negative or ``(0, 0)``: ``P = I``;
+    - ``c = 0``: ``E = s`` is constant and ``(I + s A)^-1`` is one FFT
+      pair, bit for bit the scalar preconditioner's solve;
+    - otherwise ``krylov_steps`` GMRES steps (:func:`_krylov_solve`),
+      preconditioned by the circulant ``I + mean(E) A``, which returns the
+      circulant start ``(I + mean(E) A)^-1 f`` when the GMRES result is not
+      finite or exceeds ``||f||_1``.
     """
     grid = ctx.grid
     shape, axes = grid.shape, tuple(range(grid.dimension))
@@ -284,6 +312,7 @@ def _spectral_preconditioner(ctx: OperatorContext):
         return lambda w, dt_lw, f: f
     w_hat = np.fft.rfftn(weights.reshape(shape), axes=axes).real
     symbol = (w_hat.flat[0] - w_hat) * grid.cell_volume
+    ratio = _majorant_ratio(ctx)
 
     def circulant(x, factor):
         return np.fft.irfftn(factor * np.fft.rfftn(x.reshape(shape), axes=axes), s=shape, axes=axes).ravel()
@@ -291,12 +320,108 @@ def _spectral_preconditioner(ctx: OperatorContext):
     def precondition(w, dt_lw, f):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             aw = circulant(w, symbol)
-            dt_s = float((aw @ dt_lw) / (aw @ aw))
-        if not (math.isfinite(dt_s) and dt_s > 0.0):
-            return f
-        return circulant(f, 1.0 / (1.0 + dt_s * symbol))
+            d = None if ratio is None else ratio(w, w)
+            if d is None or not (np.isfinite(d).all() and d.min() >= 0.0) or d.min() == d.max():
+                c, s = 0.0, float((aw @ dt_lw) / (aw @ aw))
+            else:
+                c, s = _nonnegative_fit(circulant(ratio(w, 0.0) * w, symbol), aw, dt_lw)
+            if not (math.isfinite(c) and math.isfinite(s) and c >= 0.0 and s >= 0.0 and c + s > 0.0):
+                return f
+            if c == 0.0:
+                return circulant(f, 1.0 / (1.0 + s * symbol))
+            e = c * d + s
+            mean_inverse = 1.0 / (1.0 + e.mean() * symbol)
+            return _krylov_solve(lambda x: x + circulant(e * x, symbol), lambda x: circulant(x, mean_inverse),
+                                 f, krylov_steps)
 
     return precondition
+
+
+def _majorant_ratio(ctx: OperatorContext):
+    """``(a, b) -> m(a, b; r_1) / m_R(r_1)`` for the base kernel at the pair set's nearest offset ``r_1``.
+
+    The diagonal ``D(w) = ratio(w, w)`` is the tangent coefficient of the
+    flux: by A5 it lies in [0, 1] where ``|w| <= R``, ``f'(w) / sup f'``
+    for porous medium, ``f(w) / max f(+-R)`` for convex diffusion, a
+    constant for fractional heat and variable order, and 0 where
+    ``phi(z) / z`` vanishes at 0 (p-Laplacian and doubly nonlinear kernels
+    with ``p > 2``).  The chord ``K(w) = ratio(w, 0)`` is its secant to 0:
+    for porous medium ``A(K w)`` is ``L_w w`` without the ramp.  Built from
+    the public ``eval`` and ``majorant``; None when the majorant at ``r_1``
+    is not positive and finite.
+    """
+    base = ctx.regkernel.base
+    r1 = float(offset_distances(ctx.grid)[cutoff_mask(ctx.grid, ctx.regkernel.epsilon)].min())
+    with np.errstate(over="ignore"):
+        top = float(base.majorant(ctx.bound_R, r1))
+    if not (math.isfinite(top) and top > 0.0):
+        return None
+    return lambda a, b: base.eval(a, b, r1) / top
+
+
+def _nonnegative_fit(a1: np.ndarray, a2: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """``(c, s) >= 0`` minimising ``||y - c a1 - s a2||_2``.
+
+    The unconstrained least-squares pair when both are non-negative,
+    otherwise the positive one-term fit that lowers the residual more:
+    ``c`` alone when it is positive and ``s`` is not, or lowers it more,
+    else ``s = <a2, y> / <a2, a2>`` alone, which is not positive when
+    neither term helps.  Non-finite products give non-finite values; the
+    caller treats both as no fit.
+    """
+    g11, g12, g22 = a1 @ a1, a1 @ a2, a2 @ a2
+    b1, b2 = a1 @ y, a2 @ y
+    det = g11 * g22 - g12 * g12
+    if det > 0.0:
+        c, s = (b1 * g22 - b2 * g12) / det, (b2 * g11 - b1 * g12) / det
+        if c >= 0.0 and s >= 0.0:
+            return float(c), float(s)
+    c, s = b1 / g11, b2 / g22
+    return (float(c), 0.0) if c > 0.0 and (s <= 0.0 or b1 * c > b2 * s) else (0.0, float(s))
+
+
+def _krylov_solve(p_apply, c_inverse, f: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` right-preconditioned GMRES steps on ``P x = f`` from ``x_0 = C^-1 f``.
+
+    ``p_apply`` is ``P`` and ``c_inverse`` the circulant ``C^-1``; both keep
+    the mass of their input, so the residual of ``x_0`` and every Krylov
+    direction have mass 0 (their roundoff mean is removed), and the result
+    keeps the mass of ``f``.  ``P = I + A diag(E)`` with ``E >= 0`` has unit
+    column sums and non-positive off-diagonal entries, so ``P^-1`` is
+    non-negative and ``||P^-1 f||_1 <= ||f||_1``; a result that is not finite
+    or breaks this bound (roundoff at an enormous ``E``) is replaced by
+    ``x_0``, which keeps both properties exactly.
+    """
+    x = c_inverse(f)
+    r = f - p_apply(x)
+    r -= r.mean()
+    beta = float(np.linalg.norm(r))
+    if not (math.isfinite(beta) and beta > 0.0):
+        return x
+    basis, directions = [r / beta], []
+    hessenberg = np.zeros((steps + 1, steps))
+    for j in range(steps):
+        z = c_inverse(basis[j])
+        v = p_apply(z)
+        for i, b in enumerate(basis):   # modified Gram-Schmidt
+            hessenberg[i, j] = b @ v
+            v -= hessenberg[i, j] * b
+        hessenberg[j + 1, j] = np.linalg.norm(v)
+        if not np.isfinite(hessenberg[:j + 2, j]).all():
+            break
+        directions.append(z)
+        if hessenberg[j + 1, j] == 0.0:
+            break
+        basis.append(v / hessenberg[j + 1, j])
+    if not directions:
+        return x
+    k = len(directions)
+    rhs = np.zeros(k + 1)
+    rhs[0] = beta
+    y = np.linalg.lstsq(hessenberg[:k + 1, :k], rhs, rcond=None)[0]
+    dx = np.column_stack(directions) @ y
+    out = x + (dx - dx.mean())
+    return out if np.isfinite(out).all() and np.abs(out).sum() <= np.abs(f).sum() else x
 
 
 def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):

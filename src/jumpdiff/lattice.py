@@ -223,7 +223,7 @@ def mass(u: Field) -> float:
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum``; past an intermediate overflow, the fsum of the values scaled exactly by 2^-64, scaled back."""
     try:
-        return math.fsum(values)
+        return math.fsum(values.tolist())   # Python floats: about twice as fast as iterating the array
     except OverflowError:
         return math.fsum(values * 2.0**-64) * 2.0**64
 

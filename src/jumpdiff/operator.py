@@ -280,7 +280,7 @@ def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray
     if v is u and flux is not None:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fu = u if flux.cell is None else flux.cell(u)
-            if np.isfinite(u).all() and np.isfinite(fu).all():
+            if np.isfinite(u).all() and (fu is u or np.isfinite(fu).all()):
                 fp = up if fu is u else _plane(ctx.grid, fu)
                 acc = _kahan_sum(_flux_terms(ctx, flux.numerator, up, fp), up.shape)
                 if np.isfinite(acc).all():

@@ -18,7 +18,9 @@ import jumpdiff
 from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
 from jumpdiff.config import _SCHEMA, build_kernel, parse_config, resolve_eps_list, solver_config
 from jumpdiff.evolve import continuation_in_epsilon, mollify_initial
+from jumpdiff.kernels import regular_bound_M, regularize
 from jumpdiff.lattice import Field, Profile, make_grid, sample_profile
+from jumpdiff.operator import build_context
 
 IMPLICIT = """\
 grid.n = 1
@@ -164,6 +166,25 @@ def test_compare_checks_comparison_only_on_ordered_profiles(tmp_path, capsys, pr
     assert skipped == ("comparison" not in checks)
 
 
+@pytest.mark.parametrize("dt_factor", [0.5, 8.0])
+@pytest.mark.parametrize("family", ["porous_medium", "convex_diffusion"])
+def test_compare_boxes_under_backward_euler(tmp_path, family, dt_factor):
+    """Ordered 2-d boxes of a degenerate family, at dt * 2 M_R = dt_factor: contraction and comparison pass."""
+    text = (f"grid.n = 2\ngrid.m = 10\ngrid.l = 1.0\nkernel.family = {family}\n"
+            "profile.kind = box\nprofile.width = 0.3\nprofile_b.kind = box\nprofile_b.width = 0.3\n"
+            "profile_b.height = 0.5\n")
+    cfg = parse_config(text)
+    ctx = build_context(cfg.grid, regularize(build_kernel(cfg), solver_config(cfg).epsilon), 1.0)
+    dt = dt_factor / (2.0 * regular_bound_M(ctx.regkernel, 1.0, ctx.grid))
+    path = tmp_path / "compare.cfg"
+    path.write_text(text + f"solver.integrator = backward_euler_picard\nsolver.dt = {dt!r}\nsolver.t = {6 * dt!r}\n",
+                    encoding="utf-8")
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "compare_checks.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["check"], row["verdict"]) for row in rows] == [("l1_contraction", "pass"), ("comparison", "pass")]
+
+
 def test_converge_mollifies_the_profile(tmp_path):
     text = COMPARE + "solver.eps_list = 2h, h\n"
     cfg_path = tmp_path / "converge.cfg"
@@ -222,6 +243,8 @@ def test_snapshot_matches_csv_writer_and_round_trips(tmp_path, dimension, cells)
 
 SMALL = {"grid.n": "1", "grid.m": "32", "grid.l": "1.0", "kernel.family": "porous_medium",
          "kernel.m": "2.0", "solver.t": "0.02"}
+# SMALL for the families that do not read kernel.m.
+SMALL_WITHOUT_M = {key: value for key, value in SMALL.items() if key != "kernel.m"}
 
 
 def config_text(base, changes):
@@ -263,6 +286,27 @@ def config_text(base, changes):
     ("compare", {"kernel.family": "fractional_heat", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
     ("converge", {"kernel.family": "variable_order", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
     ("validate", {"kernel.family": "zero", "kernel.r0": "0.1"}, "kernel: kernel.r0 is the support radius"),
+    # Kernel keys the family ignores; SMALL sets kernel.m.  The first two configs exited 0 before.
+    ("run", {"kernel.family": "fractional_heat", "kernel.m": "3.0", "kernel.p": "4", "kernel.a1": "0.3",
+             "kernel.f": "table"},
+     "kernel: family 'fractional_heat' does not use kernel.f, kernel.m, kernel.p, kernel.a1"),
+    ("run", {"kernel.mu": "compact_bump", "kernel.r0": "0.1", "kernel.alpha": "0.9"},
+     "kernel: kernel.mu = compact_bump does not use kernel.alpha (got 0.9)"),
+    *((command, {"kernel.family": "p_laplacian"}, "kernel: family 'p_laplacian' does not use kernel.m")
+      for command in ("run", "compare", "converge", "validate")),
+    ("run", {"kernel.family": "variable_order", "kernel.f_table": "0:0, 1:1"},
+     "kernel: family 'variable_order' does not use kernel.m, kernel.f_table"),
+    ("run", {"kernel.p": "3"}, "kernel: family 'porous_medium' does not use kernel.p"),
+    ("run", {"kernel.family": "convex_diffusion", "kernel.p": "3"},
+     "kernel: family 'convex_diffusion' does not use kernel.p"),
+    ("run", {"kernel.family": "doubly_nonlinear", "kernel.a2": "0.4"},
+     "kernel: family 'doubly_nonlinear' does not use kernel.a2"),
+    ("run", {"kernel.family": "variable_order", "kernel.alpha": "0.3", "kernel.amplitude": "2"},
+     "kernel: family 'variable_order' does not use kernel.m, kernel.alpha, kernel.amplitude"),
+    ("compare", {"kernel.family": "zero", "kernel.amplitude": "2"},
+     "kernel: family 'zero' does not use kernel.m, kernel.amplitude"),
+    ("validate", {"kernel.mu": "compact_bump", "kernel.r0": "0.1", "kernel.alpha": "0.2"},
+     "kernel: kernel.mu = compact_bump does not use kernel.alpha (got 0.2)"),
     ("converge", {"grid.l": "3", "grid.m": "8"}, "solver.eps_list: default radii 4h, 2h, h: epsilon must lie"),
     ("converge", {"grid.l": "1", "grid.m": "4"},
      "solver.eps_list: default radii 4h, 2h, h: empty neighborhood: epsilon = 1 exceeds the largest torus distance 0.5"),
@@ -282,14 +326,14 @@ def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, cha
 def test_non_finite_certified_bound_aborts_in_one_line(tmp_path, capsys, amplitude, command, integrator):
     """1e306: the lattice sum behind M_R overflows; 1e308: its terms do.  Either way no dt > 0 is certified."""
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(config_text(SMALL, {"kernel.family": "fractional_heat", "kernel.amplitude": amplitude,
+    cfg.write_text(config_text(SMALL_WITHOUT_M, {"kernel.family": "fractional_heat", "kernel.amplitude": amplitude,
                                        "solver.t": "0.01", "solver.integrator": integrator}), encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
     assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
 
 
 def test_explicit_update_beyond_the_float_range_aborts_with_the_trajectory(tmp_path, capsys):
-    text = config_text(SMALL, {"kernel.family": "fractional_heat", "profile.kind": "random_bv",
+    text = config_text(SMALL_WITHOUT_M, {"kernel.family": "fractional_heat", "profile.kind": "random_bv",
                                "solver.integrator": "explicit_euler", "solver.cfl_override": "true",
                                "solver.dt": "1.5e308", "solver.t": "1.5e308"})
     assert run_cli(tmp_path, text) == EXIT_SOLVER
@@ -324,7 +368,8 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     {"profile.kind": "box", "profile.height": "1e300", "solver.integrator": "explicit_euler"},   # f(R), |u|^2 too
 ])
 def test_values_beyond_the_float_range_abort_in_one_line(tmp_path, changes):
-    proc = run_module(tmp_path, config_text(SMALL, changes))
+    base = SMALL_WITHOUT_M if changes.get("kernel.family") == "p_laplacian" else SMALL
+    proc = run_module(tmp_path, config_text(base, changes))
     assert proc.returncode == EXIT_SOLVER
     assert one_line(proc.stderr).startswith("solver aborted: ")
 
@@ -332,7 +377,7 @@ def test_values_beyond_the_float_range_abort_in_one_line(tmp_path, changes):
 @pytest.mark.parametrize("command", ["run", "converge"])
 def test_a_run_beyond_the_step_budget_aborts_in_one_line(tmp_path, command):
     # M_R is finite at R = 1e200, but its dt = 5.2e-203 would take ~2e200 steps.
-    text = config_text(SMALL, {"kernel.family": "p_laplacian", "kernel.p": "3", "solver.t": "0.01",
+    text = config_text(SMALL_WITHOUT_M, {"kernel.family": "p_laplacian", "kernel.p": "3", "solver.t": "0.01",
                                "solver.r": "1e200"})
     proc = run_module(tmp_path, text, command, timeout=60)
     assert proc.returncode == EXIT_SOLVER

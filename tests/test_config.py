@@ -32,7 +32,7 @@ kernels = st.one_of(
     st.builds(KernelConfig, family=st.just("fractional_heat"), alpha=alphas, amplitude=positive),
     st.builds(KernelConfig, family=st.just("porous_medium"), alpha=alphas,
               f=maybe(st.just("power_odd")), m=maybe(st.floats(1.0, 5.0))),
-    st.builds(KernelConfig, family=st.just("p_laplacian"), mu=st.just("compact_bump"), alpha=alphas,
+    st.builds(KernelConfig, family=st.just("p_laplacian"), mu=st.just("compact_bump"),
               r0=positive, p=maybe(st.floats(2.0, 6.0))),
     st.just(KernelConfig(family="zero")),
 )

@@ -128,6 +128,43 @@ class TestImplicitStructure:
         assert 1.8 < coarse / fine < 2.2
 
 
+@pytest.mark.parametrize("dt_factor", [0.5, 8.0])
+@pytest.mark.parametrize("family", ["porous_medium", "convex_diffusion"])
+class TestImplicitStructureOnBoxes:
+    """:class:`TestImplicitStructure`'s checks on 2-d 10x10 boxes, where ``D(w)`` is 0 off the box."""
+
+    def case(self, family, dt_factor):
+        ctx = family_context(family, 2)
+        return ctx, dt_factor / (2.0 * regular_bound_M(ctx.regkernel, 1.0, ctx.grid))
+
+    def test_mass_exact_to_roundoff(self, family, dt_factor):
+        ctx, dt = self.case(family, dt_factor)
+        u0 = box(ctx)
+        traj = run(ctx, u0, implicit(12, dt=dt))
+        drift = max(abs(rec.mass - mass(u0)) for rec in traj.records)
+        assert drift <= roundoff(ctx, 12)
+
+    def test_l1_contraction_and_comparison(self, family, dt_factor):
+        ctx, dt = self.case(family, dt_factor)
+        a, b = box(ctx), box(ctx, center=(0.35, 0.6), height=0.5)
+        hi = Field(ctx.grid, np.maximum(a.values, b.values))
+        steps = 6
+        traj_a, traj_b, traj_hi = (run(ctx, u0, implicit(steps, dt=dt)) for u0 in (a, b, hi))
+        slack = 2.0 * TOL * steps
+        assert check_contraction(traj_a, traj_b, slack).passed
+        assert check_comparison(traj_a, traj_hi, slack).passed
+        assert check_comparison(traj_b, traj_hi, slack).passed
+
+    def test_sup_norm_and_range(self, family, dt_factor):
+        ctx, dt = self.case(family, dt_factor)
+        for u0 in (box(ctx), box(ctx, height=0.5, base=-0.5)):
+            traj = run(ctx, u0, implicit(12, dt=dt))
+            lo, hi = float(u0.values.min()), float(u0.values.max())
+            for f in traj.fields:
+                assert f.values.max() <= hi + SUP_NORM_SLACK
+                assert f.values.min() >= lo - SUP_NORM_SLACK
+
+
 def explicit_context(kernel, cells=24):
     grid = make_grid(1, cells, 1.0)
     return build_context(grid, regularize(kernel, grid.spacing), 1.0)
@@ -285,6 +322,20 @@ class TestImplicitDivergence:
             implicit(1, picard_max_iters=0)
 
 
+def family_kernel(family, dimension):
+    mu = power_law_density(0.5, dimension)
+    return {
+        "fractional_heat": lambda: make_fractional_heat(0.5, dim=dimension),
+        "porous_medium": lambda: make_porous_medium(power_odd(2.0), mu),
+        "p_laplacian": lambda: make_p_laplacian(phi_power(3.0), mu),
+        "doubly_nonlinear": lambda: make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu),
+        "convex_diffusion": lambda: make_convex_diffusion(power_abs(2.0), mu),
+        "variable_order": lambda: make_variable_order(
+            lambda s: 0.25 * (1.0 - np.exp(-s)), lambda s: 0.25 * np.exp(-s),
+            lambda r: np.full_like(r, 0.25), 0.25, 0.5, dimension),
+    }[family]()
+
+
 def dense_majorant_laplacian(ctx):
     """``(A u)_i = sum_o w_o h^N (u_i - u_{i+o})`` over the majorant weights, as a matrix built offset by offset."""
     grid = ctx.grid
@@ -298,23 +349,120 @@ def dense_majorant_laplacian(ctx):
     return np.column_stack(columns)
 
 
-@pytest.mark.parametrize("dimension, cells", [(1, 15), (1, 16), (2, 5), (2, 6)])
-def test_preconditioner_solves_the_fitted_linearized_step(dimension, cells):
+def circulant(ctx, x, factor):
+    """``x`` through the circulant whose FFT symbol is ``factor(lambda)``, ``lambda`` that of ``A``.
+
+    Computed as the scalar-diffusivity preconditioner computed it, so that a
+    constant ``E`` can be checked bit for bit.
+    """
+    grid = ctx.grid
+    shape, axes = grid.shape, tuple(range(grid.dimension))
+    w_hat = np.fft.rfftn(lattice_majorant(ctx.regkernel, ctx.bound_R, grid).reshape(shape), axes=axes).real
+    symbol = (w_hat.flat[0] - w_hat) * grid.cell_volume
+    return np.fft.irfftn(factor(symbol) * np.fft.rfftn(x.reshape(shape), axes=axes), s=shape, axes=axes).ravel()
+
+
+def linearized_step(kernel, dimension, cells):
+    """A context and a random ``(w, f, noise)`` on it, each uniform in [-1, 1]."""
     grid = make_grid(dimension, cells, 1.0)
-    kernel = make_porous_medium(power_odd(2.0), power_law_density(0.5, dimension))
     ctx = build_context(grid, regularize(kernel, grid.spacing), 1.0)
     rng = np.random.default_rng(cells)
-    w, f, noise = (rng.uniform(-1.0, 1.0, grid.n_cells) for _ in range(3))
+    return (ctx, *(rng.uniform(-1.0, 1.0, grid.n_cells) for _ in range(3)))
+
+
+SMALL_GRIDS = [(1, 15), (1, 16), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("dimension, cells", SMALL_GRIDS)
+def test_preconditioner_solves_the_fitted_linearized_step(dimension, cells):
+    ctx, w, f, noise = linearized_step(family_kernel("porous_medium", dimension), dimension, cells)
     a = dense_majorant_laplacian(ctx)
-    aw = a @ w
-    dt_lw = 0.3 * aw + 0.1 * noise
+    # f(a) = a |a| at R = 1: the diagonal f'(w) / sup f' and the chord f(w) / w / sup f'.
+    d, k = np.abs(w), 0.5 * np.abs(w)
+    dt_lw = 0.3 * a @ (k * w) + 0.2 * a @ w + 0.05 * noise
+    (c, s), *_ = np.linalg.lstsq(np.column_stack((a @ (k * w), a @ w)), dt_lw, rcond=None)
+    assert c > 0.0 and s > 0.0
+    e = c * d + s
+    p_matrix = np.eye(ctx.grid.n_cells) + a * e
+    exact = np.linalg.solve(p_matrix, f)
+    solved = evolve._spectral_preconditioner(ctx, krylov_steps=ctx.grid.n_cells)(w, dt_lw, f)
+    np.testing.assert_allclose(solved, exact, rtol=0.0, atol=1e-13)
+    # The ANDERSON_MEMORY GMRES steps of a solve: mass kept, and no further from P^-1 f in L^1 than
+    # their residual, which is below that of the circulant start (I + mean(E) A)^-1 f.
+    p = evolve._spectral_preconditioner(ctx)(w, dt_lw, f)
+    for x in (solved, p):
+        assert math.fsum(x) == pytest.approx(math.fsum(f), abs=1e-13)
+    residual = f - p_matrix @ p
+    assert np.abs(p - exact).sum() <= np.abs(residual).sum() + 1e-13
+    start = circulant(ctx, f, lambda lam: 1.0 / (1.0 + e.mean() * lam))
+    assert np.linalg.norm(residual) < np.linalg.norm(f - p_matrix @ start)
+    # A negative fit leaves P = I.
+    assert np.array_equal(evolve._spectral_preconditioner(ctx)(w, -dt_lw, f), f)
+
+
+@pytest.mark.parametrize("dimension, cells", SMALL_GRIDS)
+@pytest.mark.parametrize("family, fit_c", [("fractional_heat", 0.3), ("p_laplacian", 0.3), ("porous_medium", -0.3)])
+def test_a_constant_diffusivity_is_solved_in_closed_form(family, fit_c, dimension, cells):
+    """D = 1 (heat), D = 0 (p = 3), or a fit whose chord term would be negative: E = s, inverted by one FFT pair."""
+    ctx, w, f, noise = linearized_step(family_kernel(family, dimension), dimension, cells)
+    a = dense_majorant_laplacian(ctx)
+    dt_lw = 0.3 * a @ w + fit_c * a @ (np.abs(w) * w) + 0.01 * noise
+    aw = circulant(ctx, w, lambda lam: lam)
     dt_s = (aw @ dt_lw) / (aw @ aw)
     assert dt_s > 0.0
     p = evolve._spectral_preconditioner(ctx)(w, dt_lw, f)
-    np.testing.assert_allclose(p, np.linalg.solve(np.eye(grid.n_cells) + dt_s * a, f), rtol=0.0, atol=1e-13)
+    assert np.array_equal(p, circulant(ctx, f, lambda lam: 1.0 / (1.0 + dt_s * lam)))
+    np.testing.assert_allclose(p, np.linalg.solve(np.eye(ctx.grid.n_cells) + dt_s * a, f), rtol=0.0, atol=1e-13)
     assert math.fsum(p) == pytest.approx(math.fsum(f), abs=1e-13)
-    # A negative fit leaves P = I.
     assert np.array_equal(evolve._spectral_preconditioner(ctx)(w, -dt_lw, f), f)
+
+
+@pytest.mark.parametrize("dimension, cells", SMALL_GRIDS)
+def test_preconditioner_stays_bounded_at_an_enormous_step(dimension, cells):
+    ctx, w, f, noise = linearized_step(family_kernel("porous_medium", dimension), dimension, cells)
+    a = dense_majorant_laplacian(ctx)
+    dt_lw = 1e100 * (a @ (np.abs(w) * w) + a @ w)
+    p = evolve._spectral_preconditioner(ctx)(w, dt_lw, f)
+    assert np.isfinite(p).all()
+    assert np.abs(p).sum() <= np.abs(f).sum()
+    assert math.fsum(p) == pytest.approx(math.fsum(f), abs=1e-13)
+
+
+@pytest.mark.parametrize("y, fit", [
+    ((2.0, 3.0, 0.0), (2.0, 3.0)),     # inside the quadrant
+    ((1.0, -5.0, 0.0), (1.0, 0.0)),    # s < 0 however much it would lower the residual
+    ((-1.0, 2.0, 0.0), (0.0, 2.0)),
+    ((-1.0, -2.0, 0.0), (0.0, -2.0)),  # neither term helps: the caller leaves P = I
+])
+def test_nonnegative_fit_stays_in_the_quadrant(y, fit):
+    e1, e2 = np.eye(3)[:2]
+    assert evolve._nonnegative_fit(e1, e2, np.array(y)) == pytest.approx(fit)
+
+
+def test_krylov_result_beyond_the_l1_bound_falls_back_to_the_circulant_start():
+    # P = I / 10 is no P = I + A diag(E): its inverse multiplies the L^1 norm by 10.
+    f = np.random.default_rng(0).uniform(-1.0, 1.0, 16)
+    f -= f.mean()
+    start = 0.5 * f
+    assert np.array_equal(evolve._krylov_solve(lambda x: 0.1 * x, lambda x: 0.5 * x, f, 1), start)
+    # So does a Krylov direction that P maps out of the float range.
+    calls = []
+
+    def overflowing(x):
+        calls.append(x)
+        return x if len(calls) == 1 else x * np.inf
+
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(evolve._krylov_solve(overflowing, lambda x: 0.5 * x, f, 1), start)
+    assert len(calls) == 2
+
+
+def test_an_infinite_majorant_weight_leaves_the_residual_unpreconditioned():
+    grid = make_grid(1, 16, 1.0)
+    kernel = make_porous_medium(power_odd(3.5), power_law_density(0.5, 1))
+    ctx = build_context(grid, regularize(kernel, grid.spacing), 1e200)
+    w, dt_lw, f = (np.random.default_rng(k).uniform(-1.0, 1.0, 16) for k in range(3))
+    assert np.array_equal(evolve._spectral_preconditioner(ctx)(w, dt_lw, f), f)
 
 
 @pytest.fixture
@@ -342,18 +490,7 @@ def test_picard_iters_count_every_apply(applies, dt_factor, max_iters):
 
 def family_context(family, dimension):
     grid = make_grid(dimension, 64 if dimension == 1 else 10, 1.0)
-    mu = power_law_density(0.5, dimension)
-    kernel = {
-        "fractional_heat": lambda: make_fractional_heat(0.5, dim=dimension),
-        "porous_medium": lambda: make_porous_medium(power_odd(2.0), mu),
-        "p_laplacian": lambda: make_p_laplacian(phi_power(3.0), mu),
-        "doubly_nonlinear": lambda: make_doubly_nonlinear(power_odd(2.0), phi_power(3.0), mu),
-        "convex_diffusion": lambda: make_convex_diffusion(power_abs(2.0), mu),
-        "variable_order": lambda: make_variable_order(
-            lambda s: 0.25 * (1.0 - np.exp(-s)), lambda s: 0.25 * np.exp(-s),
-            lambda r: np.full_like(r, 0.25), 0.25, 0.5, dimension),
-    }[family]()
-    return build_context(grid, regularize(kernel, grid.spacing), 1.0)
+    return build_context(grid, regularize(family_kernel(family, dimension), grid.spacing), 1.0)
 
 
 @pytest.mark.parametrize("dt_factor", [0.5, 8.0])
