@@ -4,8 +4,10 @@ Exit codes form a small contract for CI use:
 
 * 0 -- everything requested passed;
 * 1 -- the command line or the configuration could not be parsed or
-  validated, including a cutoff radius ``solver.epsilon`` that leaves no
-  lattice neighbour;
+  validated, including a ``--config`` that cannot be read as UTF-8 text,
+  an output directory that cannot be created, a ``compare`` config
+  without ``profile_b.*`` and a cutoff radius ``solver.epsilon`` that
+  leaves no lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, a dt that needs
@@ -14,7 +16,9 @@ Exit codes form a small contract for CI use:
   or update in an explicit step, a broken sup-norm guard) or a run's
   structural check failed.
 
-Each failure prints a one-line message on stderr, never a traceback.
+Each failure prints a one-line message on stderr, never a traceback.  The
+commands raise; ``main`` maps a :class:`config.ConfigError` or an empty
+neighbourhood to exit 1 and a solver failure to exit 3.
 
 All outputs are CSV files under ``--out`` (or ``output.dir``): field
 snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
@@ -60,7 +64,7 @@ from .evolve import (
 )
 from .kernels import regularize
 from .lattice import Field, GridSpec, sample_profile
-from .operator import EmptyNeighborhoodError, build_context, neighborhood
+from .operator import EmptyNeighborhoodError, build_context
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -123,7 +127,10 @@ def _write_checks(outdir: Path, tag: str, results) -> None:
 
 
 def _load_config(args) -> tuple[RunConfig, Path]:
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([(None, f"cannot read config {args.config}: {getattr(exc, 'strerror', None) or exc}")]) from exc
     cfg = parse_config(text)
     overrides = {"output_dir": args.out, "seed": args.seed}
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -133,7 +140,10 @@ def _load_config(args) -> tuple[RunConfig, Path]:
         except ValueError as exc:
             raise ConfigError([(None, f"--seed: {exc}")]) from exc
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([(None, f"cannot create output directory {outdir}: {exc.strerror or exc}")]) from exc
     return cfg, outdir
 
 
@@ -167,20 +177,21 @@ def _initial_field(pc: ProfileConfig, grid: GridSpec) -> Field:
     return u0
 
 
-def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig):
-    """Operator context, initial fields and solver config for ``profiles``.
+def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig, radii: list[float] | None = None):
+    """Operator contexts, initial fields and solver config for ``profiles``.
 
-    Without ``solver.r`` the cutoff level ``R`` covers every initial field.
+    One context per cutoff radius of ``radii``, in its order; by default
+    the solver's ``epsilon`` alone.  Without ``solver.r`` the cutoff level
+    ``R`` covers every initial field.
     """
     kernel = build_kernel(cfg)
     sc = solver_config(cfg)
-    regk = regularize(kernel, sc.epsilon)
     fields = [_initial_field(pc, cfg.grid) for pc in profiles]
     R = cfg.solver.r
     if R is None:
         R = max([1.0] + [float(np.max(np.abs(f.values))) for f in fields])
-    ctx = build_context(cfg.grid, regk, R)
-    return ctx, fields, sc
+    contexts = [build_context(cfg.grid, regularize(kernel, eps), R) for eps in radii or [sc.epsilon]]
+    return contexts, fields, sc
 
 
 def _monotone_checks(cfg: RunConfig, traj: Trajectory):
@@ -207,14 +218,13 @@ def _report_checks(results) -> int:
 
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
-    ctx, (u0,), sc = _prepare_run(cfg, cfg.profile)
+    (ctx,), (u0,), sc = _prepare_run(cfg, cfg.profile)
     try:
         traj = run_solver(ctx, u0, sc)
     except SolverAbortError as exc:
         if exc.trajectory is not None:
             _write_trajectory(outdir, "", exc.trajectory)
-        print(f"solver aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise
     _write_trajectory(outdir, "", traj)
     results = _monotone_checks(cfg, traj)
     _write_checks(outdir, "", results)
@@ -230,15 +240,10 @@ def _contraction_slack(cfg: RunConfig, traj: Trajectory) -> float:
 def cmd_compare(args) -> int:
     cfg, outdir = _load_config(args)
     if cfg.profile_b is None:
-        print("compare needs a profile_b.* section", file=sys.stderr)
-        return EXIT_CONFIG
-    ctx, (u0, v0), sc = _prepare_run(cfg, cfg.profile, cfg.profile_b)
-    try:
-        traj_u = run_solver(ctx, u0, sc)
-        traj_v = run_solver(ctx, v0, sc)
-    except SolverAbortError as exc:
-        print(f"solver aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise ConfigError([(None, "compare needs a profile_b.* section")])
+    (ctx,), (u0, v0), sc = _prepare_run(cfg, cfg.profile, cfg.profile_b)
+    traj_u = run_solver(ctx, u0, sc)
+    traj_v = run_solver(ctx, v0, sc)
 
     slack = _contraction_slack(cfg, traj_u)
     results = [check_contraction(traj_u, traj_v, slack)]
@@ -263,22 +268,13 @@ def cmd_compare(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg, outdir = _load_config(args)
-    kernel = build_kernel(cfg)
-    sc = solver_config(cfg)
-    u0 = _initial_field(cfg.profile, cfg.grid)
-    eps_list = resolve_eps_list(cfg)
-    if cfg.solver.eps_list is None:   # parse_config built the configured radii, not the default 4h, 2h, h
-        try:
-            for eps in eps_list:
-                regularize(kernel, eps)
-                neighborhood(cfg.grid, eps)
-        except ValueError as exc:
-            raise ConfigError([(None, f"solver.eps_list: default radii 4h, 2h, h: {exc}; set solver.eps_list")]) from exc
     try:
-        _, table = continuation_in_epsilon(cfg.grid, kernel, u0, eps_list, sc, R=cfg.solver.r)
-    except SolverAbortError as exc:
-        print(f"solver aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        contexts, (u0,), sc = _prepare_run(cfg, cfg.profile, radii=resolve_eps_list(cfg))
+    except ValueError as exc:
+        if cfg.solver.eps_list is not None:   # parse_config built the configured radii, not the default 4h, 2h, h
+            raise
+        raise ConfigError([(None, f"solver.eps_list: default radii 4h, 2h, h: {exc}; set solver.eps_list")]) from exc
+    _, table = continuation_in_epsilon(contexts, u0, sc)
     _write_csv(outdir / "cauchy.csv", ("eps_coarse", "eps_fine", "l1_distance"), table)
     for row in table:
         print(f"d(eps={row[0]:g} -> {row[1]:g}) = {row[2]:.6e}")
@@ -327,13 +323,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EmptyNeighborhoodError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CflViolationError as exc:
+    except (CflViolationError, SolverAbortError) as exc:
         print(f"solver aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .axioms import check_axiom_settings
-from .evolve import SolverConfig, check_eps_list
+from .evolve import SolverConfig
 from .kernels import (
     JumpKernel,
     compact_bump_density,
@@ -400,13 +400,18 @@ def solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def resolve_eps_list(cfg: RunConfig) -> list[float]:
-    """Continuation radii; entries like ``4h`` are multiples of the spacing."""
+    """Continuation radii, strictly decreasing and at least the spacing; entries like ``4h`` are multiples of it."""
     h = cfg.grid.spacing
     raw = cfg.solver.eps_list
     if raw is None:
         return [4 * h, 2 * h, h]
     items = [item.strip() for item in raw.split(",")]
-    return check_eps_list([float(e[:-1] or 1) * h if e.endswith("h") else float(e) for e in items], h)
+    eps_list = [float(e[:-1] or 1) * h if e.endswith("h") else float(e) for e in items]
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    if any(e < h * (1.0 - 1e-12) for e in eps_list):
+        raise ValueError("all continuation radii must be at least the lattice spacing")
+    return eps_list
 
 
 def _format_value(v) -> str:

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics
-from .kernels import JumpKernel, lattice_majorant, regular_bound_M, regularize
+from .kernels import lattice_majorant, regular_bound_M
 from .lattice import Field, GridSpec, bump, cutoff_mask, offset_distances
-from .operator import NonFiniteKernelError, OperatorContext, _apply_raw, build_context
+from .operator import NonFiniteKernelError, OperatorContext, _apply_raw
 
 __all__ = [
     "SolverConfig",
@@ -57,7 +57,6 @@ __all__ = [
     "step_explicit",
     "step_backward_picard",
     "run",
-    "check_eps_list",
     "continuation_in_epsilon",
     "mollify_initial",
 ]
@@ -576,20 +575,12 @@ def _extrapolate(history, t: float) -> Field | None:
     return Field(history[-1][1].grid, guess)
 
 
-def check_eps_list(eps_list, spacing: float) -> list[float]:
-    """``eps_list`` as floats; raises unless strictly decreasing with every radius >= ``spacing``."""
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if any(e < spacing * (1.0 - 1e-12) for e in eps_list):
-        raise ValueError("all continuation radii must be at least the lattice spacing")
-    return eps_list
+def continuation_in_epsilon(contexts: list[OperatorContext], u0: Field, config: SolverConfig):
+    """Run the same problem on each operator context of ``contexts``.
 
-
-def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_list,
-                            config: SolverConfig, R: float | None = None):
-    """Run the same problem for a decreasing list of regularization radii.
-
+    ``contexts`` share the grid of ``u0`` and one bound ``R`` and come in
+    order of decreasing regularization radius; the rule a configured list
+    of radii must keep is checked by :func:`config.resolve_eps_list`.
     Returns ``(trajectories, cauchy_table)`` where the table holds one row
     ``(eps_k, eps_k+1, d_k)`` per consecutive pair and
     ``d_k = max_t ||u^{eps_k}(t) - u^{eps_k+1}(t)||_1`` over the shared
@@ -598,28 +589,22 @@ def continuation_in_epsilon(grid: GridSpec, kernel: JumpKernel, u0: Field, eps_l
     times align exactly; a dt that needs more than ``MAX_STEPS`` steps
     raises :class:`SolverAbortError` before any run steps.
     """
-    eps_list = check_eps_list(eps_list, grid.spacing)
-    if R is None:
-        R = max(1.0, float(np.max(np.abs(u0.values))))
-
-    contexts = [build_context(grid, regularize(kernel, e), R) for e in eps_list]
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
     if config.dt is None:
         dt = min(cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every) for ctx in contexts)
         config = replace(config, dt=dt)
 
     trajectories = [run(ctx, u0, config) for ctx in contexts]
-    hn = grid.cell_volume
+    hn = u0.grid.cell_volume
     table = []
-    for k in range(len(eps_list) - 1):
-        ta, tb = trajectories[k], trajectories[k + 1]
+    for ca, cb, ta, tb in zip(contexts, contexts[1:], trajectories, trajectories[1:]):
         if len(ta.times) != len(tb.times):
             raise SolverAbortError("continuation runs produced misaligned snapshots")
         d = max(
             float(np.abs(fa.values - fb.values).sum() * hn)
             for fa, fb in zip(ta.fields, tb.fields)
         )
-        table.append((eps_list[k], eps_list[k + 1], d))
+        table.append((ca.regkernel.epsilon, cb.regkernel.epsilon, d))
     return trajectories, table
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "OperatorContext",
     "NonFiniteKernelError",
     "EmptyNeighborhoodError",
-    "neighborhood",
     "build_context",
     "apply",
     "bilinear_form",
@@ -136,17 +135,6 @@ def _tail_estimate(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> fl
         return math.inf
 
 
-def neighborhood(grid: GridSpec, epsilon: float) -> np.ndarray:
-    """``lattice.cutoff_mask(grid, epsilon)``; raises :class:`EmptyNeighborhoodError` if it keeps nothing."""
-    keep = cutoff_mask(grid, epsilon)
-    if not keep.any():
-        raise EmptyNeighborhoodError(
-            f"empty neighborhood: epsilon = {epsilon:g} exceeds the largest torus distance "
-            f"{offset_distances(grid).max():g}"
-        )
-    return keep
-
-
 def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> OperatorContext:
     """Precompute the neighbor geometry for ``apply`` and the functionals.
 
@@ -154,7 +142,8 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
     are certified for; callers get a warning if they later apply the
     operator to larger fields.  Offsets closer than ``epsilon`` are
     excluded (with ``epsilon < h`` the cutoff has no lattice effect, which
-    is allowed but worth a warning).
+    is allowed but worth a warning); raises :class:`EmptyNeighborhoodError`
+    when that leaves none.
     """
     if regkernel.dim is not None and regkernel.dim != grid.dimension:
         raise ValueError(f"kernel dimension {regkernel.dim} does not match grid dimension {grid.dimension}")
@@ -168,7 +157,13 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
             "the spatial cutoff removes no pairs",
             stacklevel=2,
         )
-    batches = _offset_batches(grid, neighborhood(grid, eps), half=True)
+    keep = cutoff_mask(grid, eps)
+    if not keep.any():
+        raise EmptyNeighborhoodError(
+            f"empty neighborhood: epsilon = {eps:g} exceeds the largest torus distance "
+            f"{offset_distances(grid).max():g}"
+        )
+    batches = _offset_batches(grid, keep, half=True)
     flux = regkernel.base.flux
     if flux is not None:
         with np.errstate(over="ignore"):   # an infinite weight makes its applies take the eval path

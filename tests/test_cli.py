@@ -15,9 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpdiff
-from jumpdiff.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
-from jumpdiff.config import _SCHEMA, build_kernel, parse_config, resolve_eps_list, solver_config
-from jumpdiff.evolve import continuation_in_epsilon, mollify_initial
+from jumpdiff.axioms import check_axioms
+from jumpdiff.cli import EXIT_AXIOM, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
+from jumpdiff.config import (
+    _FAMILIES,
+    _KEY_READERS,
+    _SCHEMA,
+    build_kernel,
+    parse_config,
+    resolve_eps_list,
+    solver_config,
+)
+from jumpdiff.evolve import INTEGRATORS, cfl_dt, continuation_in_epsilon, mollify_initial
 from jumpdiff.kernels import regular_bound_M, regularize
 from jumpdiff.lattice import Field, Profile, make_grid, sample_profile
 from jumpdiff.operator import build_context
@@ -56,6 +65,71 @@ def test_oversized_explicit_dt_exits_solver(tmp_path, capsys):
 def test_empty_neighborhood_exits_config(tmp_path, capsys):
     assert run_cli(tmp_path, IMPLICIT + "solver.epsilon = 0.9\n") == EXIT_CONFIG
     assert "empty neighborhood" in one_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, config, out, message", [
+    ("run", ".", "out", "cannot read config"),                  # a directory
+    ("run", "latin1.cfg", "out", "cannot read config"),         # not UTF-8
+    ("run", "missing.cfg", "out", "cannot read config"),
+    ("run", "ok.cfg", "ok.cfg", "cannot create output directory"),      # an existing file
+    ("run", "ok.cfg", "ok.cfg/out", "cannot create output directory"),  # a path under a file
+    ("compare", "ok.cfg", "out", "compare needs a profile_b.* section"),
+])
+def test_unusable_config_or_output_exits_config_in_one_line(tmp_path, capsys, command, config, out, message):
+    (tmp_path / "ok.cfg").write_text(IMPLICIT, encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes(("# d\xe9j\xe0 vu\n" + IMPLICIT).encode("latin-1"))
+    assert main([command, "--config", str(tmp_path / config), "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("invalid configuration (1 problem(s)): ")
+    assert message in line
+
+
+def test_sup_norm_guard_aborts_with_the_partial_trajectory(tmp_path, capsys):
+    text = ("grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nprofile.kind = box\nprofile.width = 0.3\n"
+            "solver.integrator = explicit_euler\nsolver.cfl_override = true\n")
+    cfg = parse_config(text)
+    ctx = build_context(cfg.grid, regularize(build_kernel(cfg), solver_config(cfg).epsilon), 1.0)
+    # Three times 1 / M_R, the largest dt at which every explicit update is a convex combination.
+    dt = 6.0 * cfl_dt(ctx, 1.0, 1.0)
+    assert run_cli(tmp_path, text + f"solver.dt = {dt!r}\n") == EXIT_SOLVER
+    assert one_line(capsys.readouterr().err).startswith("solver aborted: sup norm grew from 1 to ")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_every_kernel_family_runs_from_a_config(tmp_path, family, integrator):
+    keys = "".join(f"kernel.{key} = {value}\n" for key, value in (("m", 2), ("p", 3)) if family in _KEY_READERS[key])
+    text = (f"grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nkernel.family = {family}\n{keys}profile.kind = box\n"
+            f"profile.width = 0.3\nsolver.integrator = {integrator}\nsolver.t = 0.01\n")
+    assert run_cli(tmp_path, text) == EXIT_OK
+
+
+VALIDATE = "grid.n = 1\ngrid.m = 16\ngrid.l = 1.0\nvalidate.budget = 2000\n"
+
+
+@pytest.mark.parametrize("kernel, code, failed", [
+    ("", EXIT_OK, []),
+    ("kernel.family = porous_medium\nkernel.f = table\nkernel.f_table = -1:1, 0:0, 1:-1\n", EXIT_AXIOM, ["A1", "A3"]),
+])
+def test_validate_exit_code_and_witnesses(tmp_path, kernel, code, failed):
+    """A decreasing f breaks A1 and A3; every row holds the in-process report, its witness float for float."""
+    path = tmp_path / "validate.cfg"
+    path.write_text(VALIDATE + kernel, encoding="utf-8")
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    with open(tmp_path / "out" / "axioms.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6
+    assert [row["axiom"] for row in rows if row["verdict"] != "pass"] == failed
+    assert all(row["verdict"] == "fail" for row in rows if row["axiom"] in failed)
+    cfg = parse_config(VALIDATE + kernel)
+    reports = check_axioms(build_kernel(cfg), R=cfg.validate.r, epsilon=cfg.validate.epsilon,
+                           sample_budget=cfg.validate.budget, seed=cfg.seed)
+    assert [row["axiom"] for row in rows] == [r.axiom for r in reports]
+    for row, report in zip(rows, reports):
+        assert float(row["worst_violation"]) == report.worst_violation
+        witness = dict(item.split("=") for item in row["witness"].split(";")) if row["witness"] else {}
+        assert {key: float(value) for key, value in witness.items()} == (report.witness or {})
 
 
 def test_repeated_implicit_runs_are_byte_identical(tmp_path):
@@ -194,7 +268,9 @@ def test_converge_mollifies_the_profile(tmp_path):
         rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
     cfg = parse_config(text)
     u0 = mollify_initial(sample_profile(Profile(kind="box", center=(0.5,), width=0.1), cfg.grid), cfg.grid, 0.2)
-    _, table = continuation_in_epsilon(cfg.grid, build_kernel(cfg), u0, resolve_eps_list(cfg), solver_config(cfg))
+    R = max(1.0, float(np.max(np.abs(u0.values))))
+    contexts = [build_context(cfg.grid, regularize(build_kernel(cfg), eps), R) for eps in resolve_eps_list(cfg)]
+    _, table = continuation_in_epsilon(contexts, u0, solver_config(cfg))
     assert rows == [list(row) for row in table]
 
 

@@ -11,6 +11,7 @@ from jumpdiff import evolve
 from jumpdiff.config import DiagSection
 from jumpdiff.diagnostics import check_comparison, check_contraction, check_monotone_series
 from jumpdiff.evolve import (
+    INTEGRATORS,
     SUP_NORM_SLACK,
     SolverAbortError,
     SolverConfig,
@@ -27,6 +28,7 @@ from jumpdiff.kernels import (
     make_p_laplacian,
     make_porous_medium,
     make_variable_order,
+    make_zero_kernel,
     phi_power,
     power_abs,
     power_law_density,
@@ -618,3 +620,16 @@ def test_mollifier_matches_the_torus_distance_oracle(dimension, cells, width):
     u = Field(g, np.random.default_rng(cells).uniform(0.5, 1.5, size=g.n_cells))
     np.testing.assert_allclose(mollify_initial(u, g, width).values, mollify_oracle(u, width), rtol=1e-14, atol=0.0)
 
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_zero_kernel_steps_by_the_snapshot_interval_and_keeps_u0(integrator):
+    """M_R = 0 certifies no CFL dt: an unset dt falls back to the snapshot interval."""
+    grid = make_grid(1, 16, 1.0)
+    ctx = build_context(grid, regularize(make_zero_kernel(1), grid.spacing), 1.0)
+    assert regular_bound_M(ctx.regkernel, 1.0, grid) == 0.0
+    assert cfl_dt(ctx, 1.0, 0.5, fallback=0.25) == 0.25
+    u0 = sample_profile(Profile(kind="box", width=0.3), grid)
+    traj = run(ctx, u0, SolverConfig(integrator=integrator, end_time=1.0, snapshot_every=0.25))
+    assert traj.steps == 4
+    assert traj.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(np.array_equal(f.values, u0.values) for f in traj.fields)

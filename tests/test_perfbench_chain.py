@@ -4,7 +4,8 @@
 sits outside the tier-1 suite; this checks, in well under a second, that
 the call chain it pins still exists: ``child.prepare`` on every workload's
 ``tiny`` config, the calls of ``child.layers``, every ``spans.HOOKS``
-attribute, and the ``max_iters`` argument that ``spans`` binds by name.
+attribute, the ``max_iters`` argument that ``spans`` binds by name, and a
+traced ``run`` of every ``tiny`` config in which each hook fires.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from jumpdiff import diagnostics, evolve
+from jumpdiff import cli, diagnostics, evolve
 from jumpdiff.operator import apply
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,6 +42,28 @@ def test_prepare_runs_on_the_tiny_config(tmp_path, name):
     assert dt == evolve.cfl_dt(ctx, R, sc.cfl_theta) > 0.0
     assert apply(ctx, u0, u0).values.shape == u0.values.shape
     assert diagnostics.record(ctx, 0.0, u0).mass == pytest.approx(float(u0.values.sum()) * cfg.grid.cell_volume)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_traced_hook_fires_on_the_tiny_run(tmp_path, name):
+    """The traced benchmark run refuses a run in which a hook never fires; its span applies are the counted ones."""
+    workload = workloads.WORKLOADS[name]
+    config = tmp_path / "run.cfg"
+    config.write_text(workload.config_text("tiny", 5), encoding="utf-8")
+
+    def traced(names):
+        tracer = spans.Tracer()
+        restore = tracer.install(names)
+        try:
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        finally:
+            restore()
+        return tracer.spans
+
+    every = traced(spans.HOOK_NAMES)
+    expected = [h for h in spans.HOOK_NAMES if h not in spans.STEP_HOOKS] + [f"evolve.{workload.step_hook}"]
+    assert spans.missing_hooks(every, expected) == []
+    assert spans.applies(every) == spans.applies(traced(spans.STEP_HOOKS)) > 0
 
 
 @pytest.mark.parametrize("module, attr", spans.HOOKS)
