@@ -159,7 +159,7 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
 
     # A5: majorant domination plus convergence of the Levy integral.
     try:
-        k_r, levy_detail = levy_constant(kernel, R)[0], ""
+        k_r, levy_detail = levy_constant(kernel, R), ""
     except QuadratureDivergenceError as exc:
         k_r, levy_detail = None, str(exc)
     a5 = _report("A5", kernel, {**pairs(rng_a5), "R": float(R)}, n, estimate=k_r)

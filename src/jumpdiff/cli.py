@@ -5,9 +5,9 @@ Exit codes form a small contract for CI use:
 * 0 -- everything requested passed;
 * 1 -- the command line or the configuration could not be parsed or
   validated, including a ``--config`` that cannot be read as UTF-8 text,
-  an output directory that cannot be created, a ``compare`` config
-  without ``profile_b.*`` and a cutoff radius ``solver.epsilon`` that
-  leaves no lattice neighbour;
+  an output directory that cannot be created, an output file that cannot
+  be written, a ``compare`` config without ``profile_b.*`` and a cutoff
+  radius ``solver.epsilon`` that leaves no lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, a dt that needs
@@ -24,7 +24,8 @@ All outputs are CSV files under ``--out`` (or ``output.dir``): field
 snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
 one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
-exactly; identical configs and seeds produce byte-identical outputs.
+exactly; identical configs produce byte-identical outputs.  ``--seed``
+(overriding ``run.seed``) is ``validate``'s alone: only axiom sampling reads it.
 Snapshots are filled into a row template built once per grid, one string
 operation per file; the bytes are those ``csv.writer`` gives for the same
 rows (``\\r\\n`` line endings).
@@ -33,6 +34,7 @@ rows (``\\r\\n`` line endings).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import sys
@@ -78,8 +80,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _output_file(path: Path):
+    """``path`` opened for writing; an ``OSError`` in opening or writing it becomes a :class:`ConfigError`."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError([(None, f"cannot write output file {path}: {exc.strerror or exc}")]) from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -102,7 +114,7 @@ def _snapshot_template(grid: GridSpec) -> str:
 
 def _write_snapshot(path: Path, field: Field, template: str) -> None:
     """Write ``field`` as ``i,x[,y],u`` rows; ``template`` is ``_snapshot_template(field.grid)``."""
-    with open(path, "w", newline="") as fh:
+    with _output_file(path) as fh:
         fh.write(template % tuple(field.values.tolist()))
 
 
@@ -254,13 +266,11 @@ def cmd_compare(args) -> int:
     except OrderingError:
         print("initial profiles are not ordered; comparison skipped, contraction still checked")
 
-    hn = cfg.grid.cell_volume
     _write_csv(
         outdir / "compare.csv",
         ("t", "l1_distance", "min_gap"),
-        ((t, float(np.abs(fu.values - fv.values).sum() * hn),
-          float((fv.values - fu.values).min()))
-         for t, fu, fv in zip(traj_u.times, traj_u.fields, traj_v.fields)),
+        ((t, d, float((fv.values - fu.values).min()))
+         for t, d, fu, fv in zip(traj_u.times, diagnostics.l1_distances(traj_u, traj_v), traj_u.fields, traj_v.fields)),
     )
     _write_checks(outdir, "compare_", results)
     return _report_checks(results)
@@ -315,8 +325,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=descr)
         p.add_argument("--config", required=True, help="path to the key=value configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int, default=None, help="seed override (overrides run.seed)")
-        p.set_defaults(fn=fn)
+        if fn is cmd_validate:   # the seed of the axiom sampling; no other command reads one
+            p.add_argument("--seed", type=int, help="seed override (overrides run.seed)")
+        p.set_defaults(fn=fn, seed=None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

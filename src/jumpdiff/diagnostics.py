@@ -29,6 +29,7 @@ __all__ = [
     "OrderingError",
     "record",
     "check_monotone_series",
+    "l1_distances",
     "check_contraction",
     "check_comparison",
     "make_test_bank",
@@ -119,12 +120,16 @@ def _matched_times(traj_u, traj_v):
         raise ValueError("trajectories live on different grids")
 
 
-def check_contraction(traj_u, traj_v, slack: float) -> CheckResult:
-    """L^1 distance between two runs must never exceed its initial value + slack."""
+def l1_distances(traj_u, traj_v) -> list[float]:
+    """``||u(t) - v(t)||_1`` at each snapshot; ``ValueError`` unless both runs share their times and grid."""
     _matched_times(traj_u, traj_v)
     hn = traj_u.grid.cell_volume
-    dists = [float(np.abs(fu.values - fv.values).sum() * hn)
-             for fu, fv in zip(traj_u.fields, traj_v.fields)]
+    return [float(np.abs(fu.values - fv.values).sum() * hn) for fu, fv in zip(traj_u.fields, traj_v.fields)]
+
+
+def check_contraction(traj_u, traj_v, slack: float) -> CheckResult:
+    """L^1 distance between two runs must never exceed its initial value + slack."""
+    dists = l1_distances(traj_u, traj_v)
     d0 = dists[0]
     worst = max(d - d0 for d in dists)
     first = next((k for k, d in enumerate(dists) if d > d0 + slack), None)
@@ -144,16 +149,11 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
     :class:`OrderingError` -- it is a caller mistake, not a failed check.
     """
     _matched_times(traj_u, traj_v)
-    gap0 = traj_v.fields[0].values - traj_u.fields[0].values
-    if gap0.min() < 0:
+    gaps = [float((fv.values - fu.values).min()) for fu, fv in zip(traj_u.fields, traj_v.fields)]
+    if gaps[0] < 0:
         raise OrderingError("initial data are not ordered: u0 <= v0 fails pointwise")
-    worst_gap = min(float((fv.values - fu.values).min())
-                    for fu, fv in zip(traj_u.fields, traj_v.fields))
-    first = None
-    for k, (fu, fv) in enumerate(zip(traj_u.fields, traj_v.fields)):
-        if float((fv.values - fu.values).min()) < -slack:
-            first = k
-            break
+    worst_gap = min(gaps)
+    first = next((k for k, gap in enumerate(gaps) if gap < -slack), None)
     return CheckResult(
         name="comparison",
         passed=first is None,

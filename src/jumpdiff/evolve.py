@@ -440,6 +440,19 @@ def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
     return 0.0
 
 
+def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, float, float | None]:
+    """A run's ``(dt, snapshot_every, max_dt)``; ``dt`` is ``config.dt``, or else ``max_dt``.
+
+    The snapshot interval defaults to ``end_time / 10``.  ``max_dt``, the CFL limit with that interval as
+    its fallback, is None unless an explicit step or an unset dt needs it.
+    """
+    snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
+    max_dt = None
+    if config.integrator == "explicit_euler" or config.dt is None:
+        max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
+    return (config.dt if config.dt is not None else max_dt), snapshot_every, max_dt
+
+
 def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     """Integrate from ``u0`` to ``config.end_time``, recording snapshots.
 
@@ -461,12 +474,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     iterations of every step since the previous snapshot.
     """
     T = config.end_time
-    snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
     explicit = config.integrator == "explicit_euler"
-    max_dt = None   # the CFL limit, needed for an explicit step or an unset dt
-    if explicit or config.dt is None:
-        max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
-    dt_base = config.dt if config.dt is not None else max_dt
+    dt_base, snapshot_every, max_dt = _step_policy(ctx, config)
     steps = T / dt_base
     if steps > MAX_STEPS:
         raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt_base:g}, "
@@ -583,28 +592,18 @@ def continuation_in_epsilon(contexts: list[OperatorContext], u0: Field, config: 
     of radii must keep is checked by :func:`config.resolve_eps_list`.
     Returns ``(trajectories, cauchy_table)`` where the table holds one row
     ``(eps_k, eps_k+1, d_k)`` per consecutive pair and
-    ``d_k = max_t ||u^{eps_k}(t) - u^{eps_k+1}(t)||_1`` over the shared
-    snapshot times.  All runs use a common fixed dt (resolved from the
-    finest radius when the config leaves dt to the CFL policy) so snapshot
-    times align exactly; a dt that needs more than ``MAX_STEPS`` steps
-    raises :class:`SolverAbortError` before any run steps.
+    ``d_k = max_t ||u^{eps_k}(t) - u^{eps_k+1}(t)||_1`` over the snapshot
+    times (:func:`diagnostics.l1_distances`).  All runs use one dt, the
+    configured one or else the smallest of their step policies' CFL limits,
+    and so share their snapshot times; a dt that needs more than
+    ``MAX_STEPS`` steps raises :class:`SolverAbortError` before any run
+    steps.
     """
-    snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
     if config.dt is None:
-        dt = min(cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every) for ctx in contexts)
-        config = replace(config, dt=dt)
-
+        config = replace(config, dt=min(_step_policy(ctx, config)[0] for ctx in contexts))
     trajectories = [run(ctx, u0, config) for ctx in contexts]
-    hn = u0.grid.cell_volume
-    table = []
-    for ca, cb, ta, tb in zip(contexts, contexts[1:], trajectories, trajectories[1:]):
-        if len(ta.times) != len(tb.times):
-            raise SolverAbortError("continuation runs produced misaligned snapshots")
-        d = max(
-            float(np.abs(fa.values - fb.values).sum() * hn)
-            for fa, fb in zip(ta.fields, tb.fields)
-        )
-        table.append((ca.regkernel.epsilon, cb.regkernel.epsilon, d))
+    table = [(ca.regkernel.epsilon, cb.regkernel.epsilon, max(diagnostics.l1_distances(ta, tb)))
+             for ca, cb, ta, tb in zip(contexts, contexts[1:], trajectories, trajectories[1:])]
     return trajectories, table
 
 

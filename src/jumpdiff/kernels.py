@@ -23,8 +23,8 @@ the doubly-nonlinear quotient ``[phi(f(a)-f(b))/(a-b)] mu(r)``; one evaluator
 builds all three.
 
 The majorant of a decoupled kernel is ``F(R) * mu(r)`` with a power-law or
-compact-bump density, so its radial moments (``K_R`` and the truncation
-tails) are computed in closed form.  Every other kernel gets adaptive
+compact-bump density, so its radial moments (``K_R`` and the mass beyond
+the half period) are computed in closed form.  Every other kernel gets adaptive
 quadrature; scipy is imported on its first use, not with this module.
 
 Every decoupled family also declares its pair flux (:class:`PairFlux`):
@@ -687,31 +687,17 @@ def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: f
     return _checked_quad(integrand, lo, hi)
 
 
-def _first_moment(kernel, R: float, lo: float, hi: float) -> float:
-    """``int_lo^hi (1 ^ r) m_R(r) dy`` over the shell ``lo <= |y| <= hi``, split at r = 1."""
-    return majorant_moment(kernel, R, lo, min(hi, 1.0), 1.0) + majorant_moment(kernel, R, max(lo, 1.0), hi, 0.0)
+def levy_constant(kernel, R: float) -> float:
+    """First-moment integral ``K_R = int (1 ^ |y|) m_R(|y|) dy`` of the majorant over the whole space.
 
-
-def levy_constant(kernel, R: float, r_max: float = math.inf) -> tuple[float, float]:
-    """First-moment integral ``K_R`` of the majorant, truncated at ``r_max``.
-
-    Returns ``(K_R, tail)`` where ``tail`` is the part of the full integral
-    dropped beyond ``r_max`` (``inf`` if it diverges there).  Both are radial
-    integrals (:func:`majorant_moment`), split at r = 1 for the weight
-    ``1 ^ r``: exact for the decoupled families, whose majorant is
-    ``F(R) mu(r)`` with a power-law or compact-bump density, and by adaptive
-    quadrature (scipy, imported on first use) for every other kernel.  A
-    genuinely divergent integral (e.g. a power-law order smuggled past the
-    constructors) raises :class:`QuadratureDivergenceError`.
+    The sum of two radial integrals (:func:`majorant_moment`), split at
+    r = 1 for the weight ``1 ^ r``: exact for the decoupled families, whose
+    majorant is ``F(R) mu(r)`` with a power-law or compact-bump density,
+    and by adaptive quadrature (scipy, imported on first use) for every
+    other kernel.  A genuinely divergent integral (e.g. a power-law order
+    smuggled past the constructors) raises :class:`QuadratureDivergenceError`.
     """
-    value = _first_moment(kernel, R, 0.0, r_max)
-    tail = 0.0
-    if math.isfinite(r_max):
-        try:
-            tail = _first_moment(kernel, R, r_max, math.inf)
-        except QuadratureDivergenceError:
-            tail = math.inf
-    return value, tail
+    return majorant_moment(kernel, R, 0.0, 1.0, 1.0) + majorant_moment(kernel, R, 1.0, math.inf, 0.0)
 
 
 def lattice_majorant(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> np.ndarray:

@@ -267,19 +267,19 @@ def _flux_terms(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray)
 def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Core pair sum; Kahan-compensated across batches.
 
-    Sums the pair flux when ``v is u`` and the kernel declares one, the
-    kernel values otherwise or when the flux sum is not finite.
+    Sums the pair flux when ``v is u``, the kernel declares one and ``u`` is
+    finite, the kernel values otherwise or when the flux sum is not finite
+    (as after a non-finite ``F(u)``; an infinite ``u_i`` can leave it
+    finite, for a table ``f`` clamps ``F``).
     """
     up = _plane(ctx.grid, u)
     flux = ctx.regkernel.base.flux
-    if v is u and flux is not None:
+    if v is u and flux is not None and np.isfinite(u).all():
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fu = u if flux.cell is None else flux.cell(u)
-            if np.isfinite(u).all() and (fu is u or np.isfinite(fu).all()):
-                fp = up if fu is u else _plane(ctx.grid, fu)
-                acc = _kahan_sum(_flux_terms(ctx, flux.numerator, up, fp), up.shape)
-                if np.isfinite(acc).all():
-                    return acc.ravel()
+            fp = up if flux.cell is None else _plane(ctx.grid, flux.cell(u))
+            acc = _kahan_sum(_flux_terms(ctx, flux.numerator, up, fp), up.shape)
+        if np.isfinite(acc).all():
+            return acc.ravel()
     return _kahan_sum(_eval_terms(ctx, v, up), up.shape).ravel()
 
 
@@ -351,8 +351,7 @@ def l1_operator_bound_check(ctx: OperatorContext, v: Field, u: Field) -> tuple[f
     """
     _check_fields(ctx, (v,), u)
     lhs = norm_lp(apply(ctx, v, u), 1)
-    k_r, _ = levy_constant(ctx.regkernel.base, ctx.bound_R)
-    return lhs, k_r * bv_norm(u)
+    return lhs, levy_constant(ctx.regkernel.base, ctx.bound_R) * bv_norm(u)
 
 
 def max_row_sum(ctx: OperatorContext, v: Field) -> float:

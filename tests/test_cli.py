@@ -74,14 +74,28 @@ def test_empty_neighborhood_exits_config(tmp_path, capsys):
     ("run", "ok.cfg", "ok.cfg", "cannot create output directory"),      # an existing file
     ("run", "ok.cfg", "ok.cfg/out", "cannot create output directory"),  # a path under a file
     ("compare", "ok.cfg", "out", "compare needs a profile_b.* section"),
+    # An output directory holding a directory where the run writes a file.
+    ("run", "ok.cfg", "blocked_diagnostics", "cannot write output file "),
+    ("run", "ok.cfg", "blocked_snapshot", "cannot write output file "),
 ])
 def test_unusable_config_or_output_exits_config_in_one_line(tmp_path, capsys, command, config, out, message):
     (tmp_path / "ok.cfg").write_text(IMPLICIT, encoding="utf-8")
     (tmp_path / "latin1.cfg").write_bytes(("# d\xe9j\xe0 vu\n" + IMPLICIT).encode("latin-1"))
+    (tmp_path / "blocked_diagnostics" / "diagnostics.csv").mkdir(parents=True)
+    (tmp_path / "blocked_snapshot" / "snapshot_000000.csv").mkdir(parents=True)
     assert main([command, "--config", str(tmp_path / config), "--out", str(tmp_path / out)]) == EXIT_CONFIG
     line = one_line(capsys.readouterr().err)
     assert line.startswith("invalid configuration (1 problem(s)): ")
     assert message in line
+
+
+def test_config_line_rules_exit_config_in_one_line(tmp_path, capsys):
+    """Blank and ``#`` lines are skipped; a line without ``=`` and a repeated key are problems, each with its line."""
+    text = "grid.n = 1\n\n# a comment\ngrid.m = 16\noops\ngrid.m = 8\ngrid.l = 1.0\n"
+    assert run_cli(tmp_path, text) == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err) == (
+        "invalid configuration (2 problem(s)): line 5: expected 'key = value', got 'oops'; "
+        "line 6: duplicate key 'grid.m' (first set on line 4)")
 
 
 def test_sup_norm_guard_aborts_with_the_partial_trajectory(tmp_path, capsys):
@@ -160,7 +174,7 @@ from jumpdiff.kernels import levy_constant, make_variable_order
 codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 k = make_variable_order(lambda s: 0.3 + 0 * s, lambda s: 0.4 + 0 * s, lambda r: 0 * r, 0.3, 0.4)
-print(json.dumps({"codes": codes, "scipy": loaded, "variable_order_K": levy_constant(k, 1.0)[0],
+print(json.dumps({"codes": codes, "scipy": loaded, "variable_order_K": levy_constant(k, 1.0),
                   "scipy_after": "scipy.integrate" in sys.modules}))
 """
 
@@ -240,6 +254,15 @@ def test_compare_checks_comparison_only_on_ordered_profiles(tmp_path, capsys, pr
     assert skipped == ("comparison" not in checks)
 
 
+def test_compare_reports_the_configured_contraction_slack(tmp_path):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(COMPARE + "diag.slack_contraction = 0.25\n", encoding="utf-8")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    with open(tmp_path / "out" / "compare_checks.csv", newline="") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    assert rows["l1_contraction"]["detail"].endswith(", slack 0.25")
+
+
 @pytest.mark.parametrize("dt_factor", [0.5, 8.0])
 @pytest.mark.parametrize("family", ["porous_medium", "convex_diffusion"])
 def test_compare_boxes_under_backward_euler(tmp_path, family, dt_factor):
@@ -272,6 +295,14 @@ def test_converge_mollifies_the_profile(tmp_path):
     contexts = [build_context(cfg.grid, regularize(build_kernel(cfg), eps), R) for eps in resolve_eps_list(cfg)]
     _, table = continuation_in_epsilon(contexts, u0, solver_config(cfg))
     assert rows == [list(row) for row in table]
+
+
+def test_converge_radius_without_a_neighbour_exits_config_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "converge.cfg"
+    cfg.write_text("grid.n = 1\ngrid.m = 4\ngrid.l = 1.0\nsolver.eps_list = 0.75, 0.5\n", encoding="utf-8")
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err) == (
+        "invalid configuration: empty neighborhood: epsilon = 0.75 exceeds the largest torus distance 0.5")
 
 
 def test_cauchy_distances_shrink_as_eps_halves(tmp_path):
@@ -469,7 +500,9 @@ def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):
     assert "--seed: seed must be non-negative" in one_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv", [["run"], ["nope"], []])
+@pytest.mark.parametrize("argv", [["run"], ["nope"], [],
+                                  *([command, "--config", "c.cfg", "--seed", "3"]   # only validate reads a seed
+                                    for command in ("run", "compare", "converge"))])
 def test_usage_error_exits_config_in_one_line(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpdiff.diagnostics import make_test_bank, record, weak_residual
-from jumpdiff.evolve import SolverConfig, run
+from jumpdiff.diagnostics import check_comparison, l1_distances, make_test_bank, record, weak_residual
+from jumpdiff.evolve import SolverConfig, Trajectory, run
 from jumpdiff.kernels import make_fractional_heat, make_zero_kernel, regularize
 from jumpdiff.lattice import Field, Profile, bv_norm, make_grid, sample_profile
 from jumpdiff.operator import build_context
@@ -15,6 +15,34 @@ def test_record_bv_equals_bv_norm_exactly(shape, seed):
     grid = make_grid(*shape, 2.0)
     field = Field(grid, np.random.default_rng(seed).normal(size=grid.n_cells))
     assert record(None, 0.0, field).bv == bv_norm(field)
+
+
+def hand_trajectory(grid, rows):
+    """Snapshots ``rows`` at times 0, 1, 2, ...; the cross-run checks read no records."""
+    return Trajectory(grid, times=[float(k) for k in range(len(rows))],
+                      fields=[Field(grid, np.array(row, dtype=float)) for row in rows])
+
+
+class TestCrossRunChecks:
+    GRID = make_grid(1, 4, 1.0)
+    # hi - lo: min gap 0 at snapshot 0, -0.25 at 1 (beyond the slack 0.125) and -0.75 at 2.
+    LO = hand_trajectory(GRID, [[0, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0.5]])
+    HI = hand_trajectory(GRID, [[0, 0.125, 0, 0], [0, 0.25, 0, 0], [0, 0, 0, -0.25]])
+
+    def test_comparison_fails_at_the_first_snapshot_out_of_order(self):
+        result = check_comparison(self.LO, self.HI, 0.125)
+        assert not result.passed
+        assert result.first_violation == 1
+        assert result.worst_margin == 0.75
+
+    def test_l1_distances_per_snapshot(self):
+        assert l1_distances(self.LO, self.HI) == [0.125 / 4, 0.25 / 4, 0.75 / 4]
+
+    def test_l1_distances_need_matching_snapshot_times(self):
+        shifted = hand_trajectory(self.GRID, [[0, 0, 0, 0]] * 3)
+        shifted.times[1] += 0.5
+        with pytest.raises(ValueError, match="mismatched snapshot times"):
+            l1_distances(self.LO, shifted)
 
 
 class TestWeakResidual:

@@ -19,6 +19,7 @@ from jumpdiff.kernels import (
     make_porous_medium,
     make_variable_order,
     make_zero_kernel,
+    majorant_moment,
     phi_power,
     power_abs,
     power_law_density,
@@ -191,32 +192,22 @@ class TestZeroKernel:
     def test_everything_vanishes(self):
         k = make_zero_kernel()
         assert np.all(k.eval(np.linspace(-1, 1, 7), 0.5, 2.0) == 0.0)
-        value, tail = levy_constant(k, 5.0)
-        assert value == 0.0 and tail == 0.0
+        assert levy_constant(k, 5.0) == 0.0
 
 
 class TestLevyConstant:
     def test_fractional_heat_analytic_oracle(self):
         # 2 * (int_0^1 r^(-1/2) dr + int_1^inf r^(-3/2) dr) = 2 * (2 + 2) = 8
         k = make_fractional_heat(0.5, 1.0, dim=1)
-        value, tail = levy_constant(k, 1.0, r_max=math.inf)
-        assert value == pytest.approx(8.0, rel=1e-3)
-        assert tail == 0.0
-
-    def test_truncation_tail_reported(self):
-        k = make_fractional_heat(0.5, 1.0, dim=1)
-        value, tail = levy_constant(k, 1.0, r_max=100.0)
-        # dropped mass: 2 * int_100^inf r^(-3/2) = 4 / 10
-        assert tail == pytest.approx(0.4, rel=1e-6)
-        assert value + tail == pytest.approx(8.0, rel=1e-3)
+        assert levy_constant(k, 1.0) == pytest.approx(8.0, rel=1e-3)
 
     def test_cone_additivity(self):
         k1 = make_fractional_heat(0.5, 1.0, dim=1)
         k2 = make_fractional_heat(0.8, 2.0, dim=1)
         combo = cone_combine(2.0, k1, 3.0, k2)
-        v, _ = levy_constant(combo, 1.0)
-        v1, _ = levy_constant(k1, 1.0)
-        v2, _ = levy_constant(k2, 1.0)
+        v = levy_constant(combo, 1.0)
+        v1 = levy_constant(k1, 1.0)
+        v2 = levy_constant(k2, 1.0)
         assert v == pytest.approx(2 * v1 + 3 * v2, rel=1e-9)
 
     def test_reports_divergence_for_smuggled_order(self):
@@ -234,8 +225,7 @@ class TestLevyConstant:
         # integrand (1^r) r^(-2.5) * 2 pi r: inner: 2pi int_0^1 r^(-0.5) = 4pi;
         # outer: 2pi int_1^inf r^(-1.5) = 4pi; total 8pi.
         k = make_fractional_heat(0.5, 1.0, dim=2)
-        value, _ = levy_constant(k, 1.0)
-        assert value == pytest.approx(8 * math.pi, rel=1e-3)
+        assert levy_constant(k, 1.0) == pytest.approx(8 * math.pi, rel=1e-3)
 
 
 DECOUPLED_FAMILIES = {
@@ -266,14 +256,21 @@ def quadrature_twin(k):
     return JumpKernel(k.name, k.dim, k.eval_fn, k.majorant_fn, support_radius=k.support_radius)
 
 
+def first_moment(k, R, lo, hi):
+    """``int (1 ^ r) m_R(r) dy`` over the shell ``lo <= |y| <= hi``, as two radial moments split at r = 1."""
+    return majorant_moment(k, R, lo, min(hi, 1.0), 1.0) + majorant_moment(k, R, max(lo, 1.0), hi, 0.0)
+
+
 class TestClosedFormMoments:
     @pytest.mark.parametrize("family, kind, param, dim", CLOSED_FORM_CASES)
     def test_levy_constant_matches_quadrature(self, family, kind, param, dim):
         k = DECOUPLED_FAMILIES[family](density(kind, param, dim))
         assert k.density is not None
         twin = quadrature_twin(k)
-        for r_max in (math.inf, 0.5, 100.0):
-            assert levy_constant(k, 1.5, r_max) == pytest.approx(levy_constant(twin, 1.5, r_max), rel=1e-9)
+        assert levy_constant(k, 1.5) == pytest.approx(levy_constant(twin, 1.5), rel=1e-9)
+        for r_max in (0.5, 100.0):
+            for lo, hi in ((0.0, r_max), (r_max, math.inf)):
+                assert first_moment(k, 1.5, lo, hi) == pytest.approx(first_moment(twin, 1.5, lo, hi), rel=1e-9)
 
     @pytest.mark.parametrize("family, kind, param, dim", CLOSED_FORM_CASES)
     def test_tail_estimate_matches_quadrature(self, family, kind, param, dim):
@@ -299,10 +296,9 @@ class TestClosedFormMoments:
 
     def test_order_zero_has_infinite_tail(self):
         k = make_porous_medium(power_odd(2.0), LevyDensity("power_law", 1, alpha=0.0))
-        value, tail = levy_constant(k, 1.0, r_max=100.0)
+        value = majorant_moment(k, 1.0, 0.0, 1.0, 1.0) + majorant_moment(k, 1.0, 1.0, 100.0, 0.0)
         # f' <= 2 on [-1, 1]; 2 * 2 * (int_0^1 dr + int_1^100 dr / r)
         assert value == pytest.approx(4.0 * (1.0 + math.log(100.0)), rel=1e-14)
-        assert tail == math.inf
         grid = make_grid(1, 8, 4.0)
         assert build_context(grid, regularize(k, grid.spacing), 1.0).tail_estimate == math.inf
 

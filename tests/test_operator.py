@@ -246,6 +246,18 @@ class TestSelfApply:
         assert np.array_equal(via_flux, via_eval, equal_nan=True)
         assert flux_warnings == eval_warnings
 
+    def test_infinite_cell_value_returns_what_the_eval_path_does(self):
+        # A table f clamps u_i = inf to a finite F(u_i): the pair flux stays finite, the eval path gives nan.
+        g = make_grid(1, 16, 4.0)
+        k = make_porous_medium(table_function([(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)]), power_law_density(0.5, 1))
+        ctx = build_context(g, regularize(k, g.spacing), R=1.0)
+        u = np.linspace(0.0, 1.0, g.n_cells)
+        u[3] = math.inf
+        with np.errstate(all="ignore"):
+            via_eval, via_flux = _apply_raw(ctx, u.copy(), u), _apply_raw(ctx, u, u)
+        assert not np.isfinite(via_eval).all()
+        assert np.array_equal(via_flux, via_eval, equal_nan=True)
+
 
 class TestBilinearForm:
     @staticmethod
