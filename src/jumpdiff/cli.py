@@ -259,7 +259,7 @@ def cmd_compare(args) -> int:
 
     slack = _contraction_slack(cfg, traj_u)
     results = [check_contraction(traj_u, traj_v, slack)]
-    lo, hi = (traj_u, traj_v) if np.all(u0.values <= v0.values) else (traj_v, traj_u)
+    lo, hi = (traj_v, traj_u) if np.all(v0.values <= u0.values) else (traj_u, traj_v)
     comp_slack = cfg.diag.slack_comparison if cfg.diag.slack_comparison is not None else slack
     try:
         results.append(check_comparison(lo, hi, comp_slack))
@@ -269,8 +269,7 @@ def cmd_compare(args) -> int:
     _write_csv(
         outdir / "compare.csv",
         ("t", "l1_distance", "min_gap"),
-        ((t, d, float((fv.values - fu.values).min()))
-         for t, d, fu, fv in zip(traj_u.times, diagnostics.l1_distances(traj_u, traj_v), traj_u.fields, traj_v.fields)),
+        zip(traj_u.times, diagnostics.l1_distances(traj_u, traj_v), diagnostics.min_gaps(lo, hi)),
     )
     _write_checks(outdir, "compare_", results)
     return _report_checks(results)

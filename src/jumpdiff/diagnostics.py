@@ -30,6 +30,7 @@ __all__ = [
     "record",
     "check_monotone_series",
     "l1_distances",
+    "min_gaps",
     "check_contraction",
     "check_comparison",
     "make_test_bank",
@@ -127,6 +128,12 @@ def l1_distances(traj_u, traj_v) -> list[float]:
     return [float(np.abs(fu.values - fv.values).sum() * hn) for fu, fv in zip(traj_u.fields, traj_v.fields)]
 
 
+def min_gaps(traj_lo, traj_hi) -> list[float]:
+    """``min(hi(t) - lo(t))`` over the cells at each snapshot; ``ValueError`` unless both runs share their times and grid."""
+    _matched_times(traj_lo, traj_hi)
+    return [float((fh.values - fl.values).min()) for fl, fh in zip(traj_lo.fields, traj_hi.fields)]
+
+
 def check_contraction(traj_u, traj_v, slack: float) -> CheckResult:
     """L^1 distance between two runs must never exceed its initial value + slack."""
     dists = l1_distances(traj_u, traj_v)
@@ -148,8 +155,7 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
     A violated precondition (crossing initial data) raises
     :class:`OrderingError` -- it is a caller mistake, not a failed check.
     """
-    _matched_times(traj_u, traj_v)
-    gaps = [float((fv.values - fu.values).min()) for fu, fv in zip(traj_u.fields, traj_v.fields)]
+    gaps = min_gaps(traj_u, traj_v)
     if gaps[0] < 0:
         raise OrderingError("initial data are not ordered: u0 <= v0 fails pointwise")
     worst_gap = min(gaps)
@@ -157,7 +163,7 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
     return CheckResult(
         name="comparison",
         passed=first is None,
-        worst_margin=-worst_gap,
+        worst_margin=0.0 - worst_gap,   # not -worst_gap, which is -0.0 for a gap of 0
         first_violation=first,
         detail=f"min gap {worst_gap:.6g}, slack {slack:g}",
     )

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import diagnostics
 from .kernels import lattice_majorant, regular_bound_M
-from .lattice import Field, GridSpec, bump, cutoff_mask, offset_distances
+from .lattice import Field, GridSpec, bump, offset_distances
 from .operator import NonFiniteKernelError, OperatorContext, _apply_raw
 
 __all__ = [
@@ -350,7 +350,7 @@ def _majorant_ratio(ctx: OperatorContext):
     is not positive and finite.
     """
     base = ctx.regkernel.base
-    r1 = float(offset_distances(ctx.grid)[cutoff_mask(ctx.grid, ctx.regkernel.epsilon)].min())
+    r1 = float(min(b.r.min() for b in ctx.batches))
     with np.errstate(over="ignore"):
         top = float(base.majorant(ctx.bound_R, r1))
     if not (math.isfinite(top) and top > 0.0):

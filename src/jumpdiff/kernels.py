@@ -22,10 +22,13 @@ and p-Laplacian kernels are the identity cases (``phi = id``, ``f = id``) of
 the doubly-nonlinear quotient ``[phi(f(a)-f(b))/(a-b)] mu(r)``; one evaluator
 builds all three.
 
-The majorant of a decoupled kernel is ``F(R) * mu(r)`` with a power-law or
-compact-bump density, so its radial moments (``K_R`` and the mass beyond
-the half period) are computed in closed form.  Every other kernel gets adaptive
-quadrature; scipy is imported on its first use, not with this module.
+Every built-in kernel states the radial moments of its majorant (``K_R``
+and the mass beyond the half period) in closed form: ``F(R)`` times the
+density's moment for a decoupled kernel, elementary antiderivatives of
+``r^q`` and ``r^q log r`` for variable order, the combined moments for a
+cone combination and 0 for the zero kernel.  Only a hand-built
+:class:`JumpKernel` that states none gets adaptive quadrature; scipy is
+imported on its first use, not with this module.
 
 Every decoupled family also declares its pair flux (:class:`PairFlux`):
 ``(a - b) m(a, b; r) = N(F(a), F(b), a - b) mu(r)`` with a numerator that
@@ -317,9 +320,10 @@ class JumpKernel:
     ``eval`` and ``majorant`` are pure, reentrant and fully vectorized over
     broadcastable array arguments; the operator module calls them from hot
     loops.  ``dim`` is the spatial dimension baked into the radial part
-    (``None`` for dimension-free kernels such as the zero kernel).  A
-    decoupled kernel sets ``density`` and ``majorant_scale``; its majorant
-    is ``majorant_scale(R) * density(r)``, whose radial moments are exact.
+    (``None`` for dimension-free kernels such as the zero kernel).
+    ``moment(R, lo, hi, power)`` is the exact radial moment of the
+    majorant (:func:`majorant_moment`); every built-in constructor states
+    it, and a kernel without one is integrated by quadrature.
     """
 
     name: str
@@ -327,8 +331,7 @@ class JumpKernel:
     eval_fn: Callable = field(repr=False)
     majorant_fn: Callable = field(repr=False)
     support_radius: float | None = None
-    density: LevyDensity | None = None
-    majorant_scale: Callable | None = field(default=None, repr=False)
+    moment: Callable | None = field(default=None, repr=False)
 
     def eval(self, a, b, r):
         return self.eval_fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(r, dtype=float))
@@ -366,8 +369,7 @@ def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, cell, numerator) -> J
         eval_fn=_FluxEval(eval_fn, PairFlux(cell, numerator, mu)),
         majorant_fn=lambda R, r: _scaled(bounded_scale(R), mu(r)),
         support_radius=mu.support_radius,
-        density=mu,
-        majorant_scale=bounded_scale,
+        moment=lambda R, lo, hi, power: _scaled(bounded_scale(R), mu.radial_moment(lo, hi, power)),
     )
 
 
@@ -505,6 +507,8 @@ def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -
     total order must stay inside ``[A1, A2]`` with ``0 < A1 <= A2 < 1``.
     The majorant carries a logarithmic correction:
     ``(r^(-dim-A2) 1_{r<1} + r^(-dim-A1) 1_{r>=1}) * max(1, |log r|)``.
+    Its radial moments are elementary on the pieces split at ``1/e``, 1
+    and ``e`` (:func:`_variable_order_moment`).
     """
     if not (0.0 < A1 <= A2 < 1.0):
         raise ValueError(f"order bounds must satisfy 0 < A1 <= A2 < 1, got A1={A1}, A2={A2}")
@@ -524,7 +528,47 @@ def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -
             logr = np.abs(np.log(r))
         return core * np.maximum(1.0, logr)
 
-    return JumpKernel(name="variable_order", dim=dim, eval_fn=ev, majorant_fn=maj)
+    return JumpKernel(name="variable_order", dim=dim, eval_fn=ev, majorant_fn=maj,
+                      moment=lambda R, lo, hi, power: _variable_order_moment(A1, A2, dim, lo, hi, power))
+
+
+def _variable_order_moment(A1: float, A2: float, dim: int, lo: float, hi: float, power: float) -> float:
+    """``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` for the variable-order majorant, exactly.
+
+    The integrand is ``r^(q-1) max(1, |log r|)`` with ``q = power - A2``
+    below r = 1 and ``q = power - A1`` above; on each of the pieces split
+    at ``1/e``, 1 and ``e`` it is ``r^(q-1)`` or ``r^(q-1) |log r|``.  An
+    integral that diverges at ``lo = 0`` (``q <= 0`` there) or
+    ``hi = inf`` (``q >= 0`` there) raises :class:`QuadratureDivergenceError`.
+    """
+    q_in, q_out = power - A2, power - A1
+    if hi <= lo:
+        return 0.0
+    if (lo == 0.0 and q_in <= 0.0) or (math.isinf(hi) and q_out >= 0.0):
+        raise QuadratureDivergenceError(
+            f"radial moment on [{lo}, {hi}] diverges: the variable-order integrand behaves like "
+            f"r^{(q_in if lo == 0.0 else q_out) - 1:g} times |log r|"
+        )
+
+    def antiderivative(r, q, logged):
+        """Of ``r^(q-1) log r`` (``logged``) or ``r^(q-1)``: ``r^q (log r / q - 1/q^2)`` or ``r^q / q``,
+        ``(log r)^2 / 2`` or ``log r`` at q = 0; 0 at r = 0 and inf, its limit where the integral converges."""
+        if r == 0.0 or math.isinf(r):
+            return 0.0
+        t = math.log(r)
+        if q == 0.0:
+            return t * t / 2.0 if logged else t
+        return math.exp(q * t) * (t / q - 1.0 / (q * q) if logged else 1.0 / q)
+
+    pieces = (   # (a, b, q, sign of log r, logged)
+        (0.0, math.exp(-1.0), q_in, -1.0, True),
+        (math.exp(-1.0), 1.0, q_in, 1.0, False),
+        (1.0, math.e, q_out, 1.0, False),
+        (math.e, math.inf, q_out, 1.0, True),
+    )
+    total = math.fsum(sign * (antiderivative(min(hi, b), q, logged) - antiderivative(max(lo, a), q, logged))
+                      for a, b, q, sign, logged in pieces if max(lo, a) < min(hi, b))
+    return _SPHERE_AREA[dim] * total
 
 
 def make_zero_kernel(dim: int | None = None) -> JumpKernel:
@@ -536,7 +580,8 @@ def make_zero_kernel(dim: int | None = None) -> JumpKernel:
     def maj(R, r):
         return np.zeros(np.shape(r))
 
-    return JumpKernel(name="zero", dim=dim, eval_fn=ev, majorant_fn=maj, support_radius=0.0)
+    return JumpKernel(name="zero", dim=dim, eval_fn=ev, majorant_fn=maj, support_radius=0.0,
+                      moment=lambda R, lo, hi, power: 0.0)
 
 
 def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> JumpKernel:
@@ -557,12 +602,16 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
     def maj(R, r):
         return alpha * k1.majorant_fn(R, r) + beta * k2.majorant_fn(R, r)
 
+    def moment(R, lo, hi, power):
+        return alpha * k1.moment(R, lo, hi, power) + beta * k2.moment(R, lo, hi, power)
+
     return JumpKernel(
         name=f"cone({alpha}*{k1.name}+{beta}*{k2.name})",
         dim=dim,
         eval_fn=ev,
         majorant_fn=maj,
         support_radius=support,
+        moment=moment if k1.moment is not None and k2.moment is not None else None,
     )
 
 
@@ -646,10 +695,10 @@ def regularize(kernel: JumpKernel, epsilon: float) -> RegularizedKernel:
 
 
 def _checked_quad(f, lo, hi) -> float:
-    from scipy import integrate
-
     if hi <= lo:
         return 0.0
+    from scipy import integrate
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value, abserr = integrate.quad(f, lo, hi, limit=200)
@@ -670,12 +719,13 @@ def _checked_quad(f, lo, hi) -> float:
 def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: float) -> float:
     """Radial integral ``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` of the majorant.
 
-    Exact (:meth:`LevyDensity.radial_moment`) for a kernel with a
-    ``density``; adaptive quadrature otherwise, up to the kernel's support
-    radius.  A divergent integral raises :class:`QuadratureDivergenceError`.
+    The kernel's own exact ``moment``, which every built-in kernel states;
+    adaptive quadrature (scipy, imported on first use) up to the support
+    radius only for a hand-built kernel that states none.  A divergent
+    integral raises :class:`QuadratureDivergenceError`.
     """
-    if kernel.density is not None:
-        return float(_scaled(kernel.majorant_scale(float(R)), kernel.density.radial_moment(lo, hi, power)))
+    if kernel.moment is not None:
+        return float(kernel.moment(float(R), lo, hi, power))
     if kernel.support_radius is not None:
         hi = min(hi, kernel.support_radius)
     dim = kernel.dim if kernel.dim is not None else 1
@@ -691,11 +741,11 @@ def levy_constant(kernel, R: float) -> float:
     """First-moment integral ``K_R = int (1 ^ |y|) m_R(|y|) dy`` of the majorant over the whole space.
 
     The sum of two radial integrals (:func:`majorant_moment`), split at
-    r = 1 for the weight ``1 ^ r``: exact for the decoupled families, whose
-    majorant is ``F(R) mu(r)`` with a power-law or compact-bump density,
-    and by adaptive quadrature (scipy, imported on first use) for every
-    other kernel.  A genuinely divergent integral (e.g. a power-law order
-    smuggled past the constructors) raises :class:`QuadratureDivergenceError`.
+    r = 1 for the weight ``1 ^ r``: exact for every built-in kernel, and by
+    adaptive quadrature (scipy, imported on first use) for a hand-built
+    kernel that states no ``moment``.  A genuinely divergent integral (e.g.
+    a power-law order smuggled past the constructors) raises
+    :class:`QuadratureDivergenceError`.
     """
     return majorant_moment(kernel, R, 0.0, 1.0, 1.0) + majorant_moment(kernel, R, 1.0, math.inf, 0.0)
 

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -167,16 +166,21 @@ solver.t = 0.002
 """
 
 RUN_WITHOUT_SCIPY = """\
-import json, math, sys
+import json, sys
 from jumpdiff.cli import main
-from jumpdiff.kernels import levy_constant, make_variable_order
 
 codes = [main(["run", "--config", path, "--out", path + ".out"]) for path in sys.argv[1:]]
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-k = make_variable_order(lambda s: 0.3 + 0 * s, lambda s: 0.4 + 0 * s, lambda r: 0 * r, 0.3, 0.4)
-print(json.dumps({"codes": codes, "scipy": loaded, "variable_order_K": levy_constant(k, 1.0),
-                  "scipy_after": "scipy.integrate" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy": loaded}))
 """
+
+
+def run_script(script, *args):
+    """The last stdout line of ``script`` run by a fresh interpreter on this checkout, as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_run_of_decoupled_kernels_never_imports_scipy(tmp_path):
@@ -184,15 +188,58 @@ def test_run_of_decoupled_kernels_never_imports_scipy(tmp_path):
     for name, text in (("pm1d.cfg", IMPLICIT), ("heat2d.cfg", HEAT2D)):
         paths.append(tmp_path / name)
         paths[-1].write_text(text, encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", RUN_WITHOUT_SCIPY, *map(str, paths)],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = run_script(RUN_WITHOUT_SCIPY, *paths)
     assert result["codes"] == [EXIT_OK, EXIT_OK]
     assert result["scipy"] == []
-    # A kernel without a density still integrates, importing scipy on first use.
-    assert 0.0 < result["variable_order_K"] < math.inf
-    assert result["scipy_after"]
+
+
+COMMANDS_WITH_SCIPY_BLOCKED = """\
+import json, sys
+sys.modules["scipy"] = None   # every scipy import now raises ImportError
+from jumpdiff.cli import main
+
+print(json.dumps([main([command, "--config", path, "--out", path + ".out"])
+                  for command, path in zip(sys.argv[1::2], sys.argv[2::2])]))
+"""
+
+
+# Two boxes of width 0.3, profile_b (height 0.5) below profile (height 1).
+BOXES = ("grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nprofile.kind = box\nprofile.width = 0.3\n"
+         "profile_b.kind = box\nprofile_b.width = 0.3\nprofile_b.height = 0.5\nsolver.t = 0.01\n")
+
+
+def test_every_built_in_family_runs_with_scipy_blocked(tmp_path):
+    """Each family's majorant moments are closed forms: no command needs scipy."""
+    base = BOXES + "validate.budget = 2000\n"
+    args = []
+    for family in _FAMILIES:
+        keys = "".join(f"kernel.{key} = {value}\n" for key, value in (("m", 2), ("p", 3)) if family in _KEY_READERS[key])
+        densities = [""] if family in ("zero", "fractional_heat", "variable_order") else \
+            ["kernel.mu = power_law\n", "kernel.mu = compact_bump\nkernel.r0 = 0.2\n"]
+        for k, mu in enumerate(densities):
+            path = tmp_path / f"{family}{k}.cfg"
+            path.write_text(base + f"kernel.family = {family}\n{keys}{mu}", encoding="utf-8")
+            commands = ("run", "validate", "compare", "converge") if family == "variable_order" else ("run",)
+            args += [arg for command in commands for arg in (command, path)]
+    assert run_script(COMMANDS_WITH_SCIPY_BLOCKED, *args) == [EXIT_OK] * (len(args) // 2)
+
+
+QUADRATURE_OF_A_HAND_BUILT_KERNEL = """\
+import json, sys
+from jumpdiff.kernels import JumpKernel, levy_constant, make_variable_order
+
+k = make_variable_order(lambda s: 0.4 + 0 * s, lambda s: 0 * s, lambda r: 0.3 + 0 * r, 0.3, 0.7)
+hand_built = JumpKernel("hand_built", 1, k.eval_fn, k.majorant_fn)
+before = "scipy.integrate" in sys.modules
+print(json.dumps({"exact": levy_constant(k, 1.0), "before": before, "quadrature": levy_constant(hand_built, 1.0),
+                  "after": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_a_kernel_without_a_moment_integrates_by_quadrature():
+    result = run_script(QUADRATURE_OF_A_HAND_BUILT_KERNEL)
+    assert not result["before"] and result["after"]
+    assert result["quadrature"] == pytest.approx(result["exact"], rel=1e-7)
 
 
 COMPARE = """\
@@ -252,6 +299,20 @@ def test_compare_checks_comparison_only_on_ordered_profiles(tmp_path, capsys, pr
     assert all(row["verdict"] == "pass" for row in rows)
     skipped = "initial profiles are not ordered; comparison skipped" in capsys.readouterr().out
     assert skipped == ("comparison" not in checks)
+
+
+def test_compare_writes_the_checked_gaps_when_profile_b_lies_below(tmp_path, capsys):
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(BOXES, encoding="utf-8")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "comparison: pass (worst margin 0.000e+00)" in capsys.readouterr().out.splitlines()
+    with open(tmp_path / "out" / "compare.csv", newline="") as fh:
+        gaps = [float(row["min_gap"]) for row in csv.DictReader(fh)]
+    with open(tmp_path / "out" / "compare_checks.csv", newline="") as fh:
+        comparison = {row["check"]: row for row in csv.DictReader(fh)}["comparison"]
+    assert gaps[0] == 0.0 and min(gaps) == 0.0 and gaps[-1] > 0.0
+    assert comparison["worst_margin"] == "0"
+    assert comparison["detail"].startswith(f"min gap {min(gaps):.6g}, ")
 
 
 def test_compare_reports_the_configured_contraction_slack(tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpdiff
 from jumpdiff.axioms import VIOLATION_RTOL, check_axioms, check_regular
 from jumpdiff.kernels import (
     JumpKernel,
@@ -252,7 +257,7 @@ def density(kind, param, dim):
 
 
 def quadrature_twin(k):
-    """The same majorant without a density, so its moments go through adaptive quadrature."""
+    """The same majorant without a stated moment, so its moments go through adaptive quadrature."""
     return JumpKernel(k.name, k.dim, k.eval_fn, k.majorant_fn, support_radius=k.support_radius)
 
 
@@ -265,7 +270,7 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("family, kind, param, dim", CLOSED_FORM_CASES)
     def test_levy_constant_matches_quadrature(self, family, kind, param, dim):
         k = DECOUPLED_FAMILIES[family](density(kind, param, dim))
-        assert k.density is not None
+        assert k.moment is not None
         twin = quadrature_twin(k)
         assert levy_constant(k, 1.5) == pytest.approx(levy_constant(twin, 1.5), rel=1e-9)
         for r_max in (0.5, 100.0):
@@ -280,6 +285,23 @@ class TestClosedFormMoments:
             exact, quad = (build_context(grid, regularize(kk, grid.spacing), 1.5).tail_estimate
                            for kk in (k, quadrature_twin(k)))
             assert exact == pytest.approx(quad, rel=1e-9)
+
+    def test_empty_tail_shell_of_a_quadrature_kernel_loads_no_scipy(self):
+        """A support radius below the half period leaves nothing to integrate, and nothing to import."""
+        script = (
+            "import sys\n"
+            "from jumpdiff.kernels import JumpKernel, compact_bump_density, make_porous_medium, power_odd, regularize\n"
+            "from jumpdiff.lattice import make_grid\n"
+            "from jumpdiff.operator import build_context\n"
+            "k = make_porous_medium(power_odd(2.0), compact_bump_density(0.3, 1))\n"
+            "twin = JumpKernel(k.name, k.dim, k.eval_fn, k.majorant_fn, support_radius=k.support_radius)\n"
+            "grid = make_grid(1, 16, 1.0)\n"
+            "print(build_context(grid, regularize(twin, grid.spacing), 1.0).tail_estimate, 'scipy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(jumpdiff.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout.split() == ["0.0", "False"]
 
     def test_exact_power_law_moments(self):
         mu = power_law_density(0.5, 2, amplitude=3.0)
@@ -301,6 +323,72 @@ class TestClosedFormMoments:
         assert value == pytest.approx(4.0 * (1.0 + math.log(100.0)), rel=1e-14)
         grid = make_grid(1, 8, 4.0)
         assert build_context(grid, regularize(k, grid.spacing), 1.0).tail_estimate == math.inf
+
+
+VARIABLE_ORDER_CASES = [
+    pytest.param(A1, A2, dim, id=f"A{A1}-{A2}-{dim}d") for A1, A2 in ((0.3, 0.7), (0.5, 0.5), (0.1, 0.9)) for dim in (1, 2)
+]
+# (lo, hi, power): K_R's two shells, the half-period tails of L = 1, 4, 10, and shells straddling 1/e and e
+VARIABLE_ORDER_SHELLS = [(0.0, 1.0, 1.0), (1.0, math.inf, 0.0)] + [(period / 2.0, math.inf, 0.0) for period in (1.0, 4.0, 10.0)] \
+    + [(0.2, 0.5, 1.0), (2.0, 5.0, 0.0), (0.1, 10.0, 0.5), (0.3, 3.0, 0.0), (0.0, 0.3, 1.0)]
+
+
+def variable_order_reference(A1, A2, dim, lo, hi, power):
+    """The variable-order majorant's radial moment, tight: exact power-law moments inside [1/e, e], and
+    beyond them quadrature at ``epsrel = 1e-13`` of the log pieces in ``r = e^t``, ``int |t| e^(q t) dt``."""
+    from scipy import integrate
+
+    inv_e = math.exp(-1.0)
+    total = (power_law_density(A2, dim).radial_moment(max(lo, inv_e), min(hi, 1.0), power)
+             + power_law_density(A1, dim).radial_moment(max(lo, 1.0), min(hi, math.e), power))
+    for a, b, A in ((lo, min(hi, inv_e), A2), (max(lo, math.e), hi, A1)):
+        if a < b:
+            q = power - A
+            ta, tb = (-math.inf if a == 0.0 else math.log(a)), (math.inf if math.isinf(b) else math.log(b))
+            value, _ = integrate.quad(lambda t: abs(t) * math.exp(q * t), ta, tb, epsabs=0.0, epsrel=1e-13)
+            total += (2.0 if dim == 1 else 2.0 * math.pi) * value   # |S^(N-1)| * value
+    return total
+
+
+def constant_order(A1, A2, dim):
+    return make_variable_order(lambda s: (A2 - A1) + 0 * s, lambda s: 0 * s, lambda r: A1 + 0 * r, A1, A2, dim)
+
+
+class TestVariableOrderMoments:
+    @pytest.mark.parametrize("A1, A2, dim", VARIABLE_ORDER_CASES)
+    def test_matches_tight_reference_and_quadrature(self, A1, A2, dim):
+        k = constant_order(A1, A2, dim)
+        twin = quadrature_twin(k)
+        for lo, hi, power in VARIABLE_ORDER_SHELLS:
+            exact = majorant_moment(k, 1.0, lo, hi, power)
+            assert exact == pytest.approx(variable_order_reference(A1, A2, dim, lo, hi, power), rel=1e-12)
+            assert exact == pytest.approx(majorant_moment(twin, 1.0, lo, hi, power), rel=1e-7)
+
+    @pytest.mark.parametrize("A1, A2, dim", VARIABLE_ORDER_CASES)
+    def test_raises_at_a_divergent_end(self, A1, A2, dim):
+        k = constant_order(A1, A2, dim)
+        for lo, hi, power in ((0.0, 1.0, 0.0), (0.0, 0.1, A2), (1.0, math.inf, 1.0), (20.0, math.inf, A1)):
+            with pytest.raises(QuadratureDivergenceError):
+                majorant_moment(k, 1.0, lo, hi, power)
+        assert majorant_moment(k, 1.0, 2.0, 1.0, 0.0) == 0.0
+
+    def test_cone_of_stated_moments_is_their_combination(self):
+        k1, k2 = constant_order(0.3, 0.7, 1), make_porous_medium(power_odd(2.0), power_law_density(0.5, 1))
+        combo = cone_combine(0.4, k1, 1.5, k2)
+        assert combo.moment is not None
+        for lo, hi, power in ((0.0, 1.0, 1.0), (0.5, math.inf, 0.0)):
+            parts = 0.4 * majorant_moment(k1, 2.0, lo, hi, power) + 1.5 * majorant_moment(k2, 2.0, lo, hi, power)
+            assert majorant_moment(combo, 2.0, lo, hi, power) == parts
+            assert parts == pytest.approx(majorant_moment(quadrature_twin(combo), 2.0, lo, hi, power), rel=1e-7)
+        assert cone_combine(0.4, quadrature_twin(k1), 1.5, k2).moment is None
+
+    def test_every_built_in_kernel_states_a_moment(self):
+        mu = power_law_density(0.5, 1)
+        kernels = [make_zero_kernel(1), make_fractional_heat(0.5), constant_order(0.3, 0.7, 1),
+                   cone_combine(1.0, make_zero_kernel(1), 2.0, make_fractional_heat(0.5))]
+        kernels += [make(mu) for make in DECOUPLED_FAMILIES.values()]
+        assert all(k.moment is not None for k in kernels)
+        assert levy_constant(make_zero_kernel(1), 1.0) == 0.0
 
 
 class TestSmoothRamp:
