@@ -25,7 +25,7 @@ snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
 one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs produce byte-identical outputs.  ``--seed``
-(overriding ``run.seed``) is ``validate``'s alone: only axiom sampling reads it.
+(overriding ``validate.seed``) is ``validate``'s alone: only axiom sampling reads it.
 Snapshots are filled into a row template built once per grid, one string
 operation per file; the bytes are those ``csv.writer`` gives for the same
 rows (``\\r\\n`` line endings).
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .axioms import check_axiom_settings, check_axioms
+from .axioms import check_axioms
 from .config import (
     ConfigError,
     ProfileConfig,
@@ -144,11 +144,11 @@ def _load_config(args) -> tuple[RunConfig, Path]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(None, f"cannot read config {args.config}: {getattr(exc, 'strerror', None) or exc}")]) from exc
     cfg = parse_config(text)
-    overrides = {"output_dir": args.out, "seed": args.seed}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if args.seed is not None:   # parse_config checked the seed of the file, not this one
+    if args.out is not None:
+        cfg = replace(cfg, output_dir=args.out)
+    if args.seed is not None:
         try:
-            check_axiom_settings(cfg.validate.r, cfg.validate.epsilon, cfg.validate.budget, cfg.seed)
+            cfg = replace(cfg, validate=replace(cfg.validate, seed=args.seed))
         except ValueError as exc:
             raise ConfigError([(None, f"--seed: {exc}")]) from exc
     outdir = Path(cfg.output_dir)
@@ -169,7 +169,7 @@ def cmd_validate(args) -> int:
     cfg, outdir = _load_config(args)
     kernel = build_kernel(cfg)
     reports = check_axioms(kernel, R=cfg.validate.r, epsilon=cfg.validate.epsilon,
-                           sample_budget=cfg.validate.budget, seed=cfg.seed)
+                           sample_budget=cfg.validate.budget, seed=cfg.validate.seed)
     _write_csv(
         outdir / "axioms.csv",
         ("axiom", "verdict", "worst_violation", "tolerance", "samples_used", "estimate", "witness"),
@@ -300,7 +300,8 @@ def _keep_freed_memory() -> None:
     """Have glibc keep freed arrays below 32 MB in the heap instead of returning them to the kernel.
 
     An operator apply reallocates ~512 KB batch temporaries; with glibc's default thresholds one 2-d
-    64x64 run took 24,000-100,000 minor faults to map them back in, as the checkout path decided.
+    64x64 run took 24,000-100,000 minor faults to map them back in.  A kernel's ``eval_fn`` allocates
+    its own temporaries too, so a scratch workspace per operator context would not make this redundant.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
     if mallopt is not None:
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the key=value configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
         if fn is cmd_validate:   # the seed of the axiom sampling; no other command reads one
-            p.add_argument("--seed", type=int, help="seed override (overrides run.seed)")
+            p.add_argument("--seed", type=int, help="seed of the axiom sampling (overrides validate.seed)")
         p.set_defaults(fn=fn, seed=None)
     args = parser.parse_args(argv)
     try:

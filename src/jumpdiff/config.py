@@ -3,27 +3,29 @@
 The format is line-oriented UTF-8 text.  Blank lines and ``#`` comments are
 ignored; every other line must read ``section.key = value`` with dotted
 section prefixes (``grid.*``, ``kernel.*``, ``profile.*``, ``solver.*``,
-``diag.*``, ``validate.*``, ``output.*``, ``run.*``; ``profile_b.*`` names
-the second initial condition of a comparison run).  Values are integers,
-finite floats, ``true``/``false``, or strings (quoted or bare identifiers).
-The keys of a section are the fields of its dataclass.
+``diag.*``, ``validate.*``, ``output.*``; ``profile_b.*`` names the second
+initial condition of a comparison run).  Values are integers, finite
+floats, ``true``/``false``, or strings (quoted or bare identifiers).
+The keys of a section are the fields of its dataclass (``solver.t`` is
+``end_time``).  ``solver.*`` is :class:`evolve.SolverConfig` plus the keys
+that set up the operator contexts: ``epsilon``, ``eps_list`` and ``r``.
+``validate.seed`` seeds the axiom sampling of ``jumpdiff validate``.
 
-A configuration is validated by building it: the grid, the solver config,
-the continuation radii, the kernel regularized at each configured radius,
-each sampled profile and the axiom-check settings are made by the code a
-command later runs, so each range rule is stated once, by its constructor.
-Parsing collects every unknown key, type mismatch and duplicate key (with
-both line numbers), plus the first constructor problem of each section, and
-reports them together in a single :class:`ConfigError` (a constructor
-problem is prefixed with its section, as in ``kernel: amplitude must be
-positive``).
+A configuration is validated by building it: the grid, the sections, the
+continuation radii, the kernel regularized at each configured radius and
+each sampled profile are made by the code a command later runs, so each
+range rule is stated once, by its constructor.  Parsing collects every
+unknown key, type mismatch and duplicate key (with both line numbers), plus
+the first constructor problem of each section, and reports them together in
+a single :class:`ConfigError` (a constructor problem is prefixed with its
+section, as in ``kernel: amplitude must be positive``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -101,17 +103,11 @@ class ProfileConfig:
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    integrator: str = "backward_euler_picard"
-    t: float = 1.0
-    epsilon: float | None = None
-    dt: float | None = None
-    cfl_theta: float = 0.5
-    cfl_override: bool = False
-    picard_tol: float = 1e-12
-    picard_max_iters: int = 60
-    snapshot_every: float | None = None
-    eps_list: str | None = None
+class SolverSection(SolverConfig):
+    """The solver's settings and the keys that set up its operator contexts."""
+
+    epsilon: float | None = None    # cutoff radius; None: the lattice spacing
+    eps_list: str | None = None     # continuation radii of ``converge``
     r: float | None = None          # sup-norm bound; default from the profile
 
 
@@ -122,12 +118,22 @@ class DiagSection:
     slack_contraction: float | None = None   # None: 2 * picard_tol * steps
     slack_comparison: float | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            slack = getattr(self, f.name)
+            if slack is not None and slack < 0:
+                raise ValueError(f"{f.name} must be non-negative, got {slack}")
+
 
 @dataclass(frozen=True)
 class ValidateSection:
     r: float = 1.0
     epsilon: float = 0.1
     budget: int = 10_000
+    seed: int = 0                   # of the axiom sampling; ``validate --seed`` overrides it
+
+    def __post_init__(self):
+        check_axiom_settings(self.r, self.epsilon, self.budget, self.seed)
 
 
 @dataclass(frozen=True)
@@ -140,23 +146,28 @@ class RunConfig:
     diag: DiagSection = DiagSection()
     validate: ValidateSection = ValidateSection()
     output_dir: str = "out"
-    seed: int = 0
 
 
 _SECTIONS = (("kernel", KernelConfig), ("profile", ProfileConfig), ("profile_b", ProfileConfig),
              ("solver", SolverSection), ("diag", DiagSection), ("validate", ValidateSection))
+# The solver keys that set up a run's contexts; SolverConfig's constructor checks the others.
+_SET_UP_KEYS = {f.name for f in fields(SolverSection)} - {f.name for f in fields(SolverConfig)}
 
 # key -> (target section, attribute, type tag).  A section's keys are its
 # dataclass fields, tagged with the first type of the annotation
-# (``float | None`` -> ``float``).
+# (``float | None`` -> ``float``) and named after it, except that the
+# solver's ``end_time`` is ``solver.t``.
+_RENAMED = {"end_time": "t"}
 _SCHEMA: dict[str, tuple[str, str, str]] = {
     "grid.n": ("grid", "dimension", "int"),
     "grid.m": ("grid", "cells_per_axis", "int"),
     "grid.l": ("grid", "period", "float"),
     "output.dir": ("top", "output_dir", "str"),
-    "run.seed": ("top", "seed", "int"),
-    **{f"{sec}.{f.name}": (sec, f.name, f.type.split(" |")[0]) for sec, cls in _SECTIONS for f in fields(cls)},
+    **{f"{sec}.{_RENAMED.get(f.name, f.name)}": (sec, f.name, f.type.split(" |")[0])
+       for sec, cls in _SECTIONS for f in fields(cls)},
 }
+# (section, attribute) -> key, for serialize_config.
+_KEYS = {(sec, attr): key for key, (sec, attr, _) in _SCHEMA.items()}
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BOOL = {"true": True, "false": False}
@@ -236,14 +247,18 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(
         grid=grid,
+        kernel=KernelConfig(**sections["kernel"]),
+        profile=ProfileConfig(**sections["profile"]),
         profile_b=ProfileConfig(**sections["profile_b"]) if sections["profile_b"] else None,
-        **{sec: cls(**sections[sec]) for sec, cls in _SECTIONS if sec != "profile_b"},
+        # The set-up keys alone until the section's constructor, after the grid, checks the rest.
+        solver=SolverSection(**{k: v for k, v in sections["solver"].items() if k in _SET_UP_KEYS}),
         **sections["top"],
     )
 
     if grid is not None:
-        sc = built("solver", lambda: solver_config(cfg))
-        radii = [] if sc is None else [sc.epsilon]
+        solver = built("solver", lambda: SolverSection(**sections["solver"]))
+        cfg = replace(cfg, solver=solver or cfg.solver)
+        radii = [] if solver is None else [solver_config(cfg).epsilon]
         if cfg.solver.eps_list is not None:
             radii += built("solver", lambda: resolve_eps_list(cfg)) or []
         kernel = built("kernel", lambda: build_kernel(cfg))
@@ -260,12 +275,12 @@ def parse_config(text: str) -> RunConfig:
 
     if cfg.solver.r is not None and cfg.solver.r <= 0:
         fail("solver.r", f"solver.r must be positive, got {cfg.solver.r}")
-    built("validate", lambda: check_axiom_settings(cfg.validate.r, cfg.validate.epsilon, cfg.validate.budget,
-                                                   cfg.seed))
+    diag = built("diag", lambda: DiagSection(**sections["diag"]))
+    validate = built("validate", lambda: ValidateSection(**sections["validate"]))
 
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return replace(cfg, diag=diag, validate=validate)
 
 
 # The f kinds a family admits (its default first), and why.
@@ -383,24 +398,14 @@ def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
     )
 
 
-def solver_config(cfg: RunConfig) -> SolverConfig:
-    s = cfg.solver
-    eps = s.epsilon if s.epsilon is not None else cfg.grid.spacing
-    return SolverConfig(
-        integrator=s.integrator,
-        end_time=s.t,
-        epsilon=eps,
-        dt=s.dt,
-        cfl_theta=s.cfl_theta,
-        cfl_override=s.cfl_override,
-        picard_tol=s.picard_tol,
-        picard_max_iters=s.picard_max_iters,
-        snapshot_every=s.snapshot_every,
-    )
+def solver_config(cfg: RunConfig) -> SolverSection:
+    """The solver section with its cutoff radius resolved: ``solver.epsilon``, else the lattice spacing."""
+    eps = cfg.solver.epsilon
+    return replace(cfg.solver, epsilon=eps if eps is not None else cfg.grid.spacing)
 
 
 def resolve_eps_list(cfg: RunConfig) -> list[float]:
-    """Continuation radii, strictly decreasing and at least the spacing; entries like ``4h`` are multiples of it."""
+    """Continuation radii: two or more, strictly decreasing and at least the spacing; ``4h`` is a multiple of it."""
     h = cfg.grid.spacing
     raw = cfg.solver.eps_list
     if raw is None:
@@ -411,6 +416,8 @@ def resolve_eps_list(cfg: RunConfig) -> list[float]:
         raise ValueError("eps_list must be strictly decreasing")
     if any(e < h * (1.0 - 1e-12) for e in eps_list):
         raise ValueError("all continuation radii must be at least the lattice spacing")
+    if len(eps_list) < 2:
+        raise ValueError(f"eps_list needs at least two radii, got {raw!r}")
     return eps_list
 
 
@@ -436,7 +443,7 @@ def serialize_config(cfg: RunConfig) -> str:
         for f in fields(obj):
             v = getattr(obj, f.name)
             if v is not None and v != getattr(defaults, f.name):
-                lines.append(f"{section}.{f.name} = {_format_value(v)}")
+                lines.append(f"{_KEYS[section, f.name]} = {_format_value(v)}")
 
     emit("kernel", cfg.kernel, KernelConfig())
     emit("profile", cfg.profile, ProfileConfig())
@@ -451,6 +458,4 @@ def serialize_config(cfg: RunConfig) -> str:
     emit("validate", cfg.validate, ValidateSection())
     if cfg.output_dir != "out":
         lines.append(f'output.dir = "{cfg.output_dir}"')
-    if cfg.seed != 0:
-        lines.append(f"run.seed = {cfg.seed}")
     return "\n".join(lines) + "\n"

@@ -107,11 +107,10 @@ class SolverAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integrator choice and step/snapshot policy for one run."""
+    """Integrator choice and step/snapshot policy for one run; the cutoff radius is the context's."""
 
     integrator: str = "backward_euler_picard"
     end_time: float = 1.0
-    epsilon: float | None = None          # None: use the lattice spacing
     dt: float | None = None               # None: CFL policy
     cfl_theta: float = 0.5
     cfl_override: bool = False

@@ -191,3 +191,25 @@ class TestCheckRegular:
         k = make_p_laplacian(phi_power(2.0), compact_bump_density(1.0, dim=1))
         reports = by_axiom(check_regular(k, g, R=1.0, seed=2))
         assert reports["B1"].verdict == "pass"
+
+
+def nan_above_half():
+    """The fractional-heat kernel, NaN wherever a value exceeds 1/2."""
+    heat = make_fractional_heat(0.5, 1.0, dim=1)
+    return replace(heat, eval_fn=lambda a, b, r: np.where(np.maximum(a, b) > 0.5, np.nan, heat.eval_fn(a, b, r)))
+
+
+class TestNonFiniteKernel:
+    def test_sampled_axioms_are_inconclusive_at_a_nan_sample(self):
+        reports = by_axiom(check_axioms(nan_above_half(), R=1.0, epsilon=0.1, sample_budget=2000, seed=0))
+        for axiom in ("A1", "A2", "A5"):
+            r = reports[axiom]
+            assert (r.verdict, r.worst_violation, r.tolerance, r.detail) == ("inconclusive", np.inf, 0.0,
+                                                                             "non-finite value")
+            assert max(r.witness["a"], r.witness["b"]) > 0.5   # the witness is a NaN sample
+        assert not any(r.passed for r in reports.values() if r.axiom != "A4")
+
+    def test_b2_is_inconclusive_on_a_non_finite_difference(self):
+        b2 = by_axiom(check_regular(nan_above_half(), make_grid(1, 16, 1.0), R=1.0, seed=0))["B2"]
+        assert (b2.verdict, b2.worst_violation, b2.witness, b2.detail) == (
+            "inconclusive", np.inf, None, "non-finite kernel difference")

@@ -137,7 +137,7 @@ def test_validate_exit_code_and_witnesses(tmp_path, kernel, code, failed):
     assert all(row["verdict"] == "fail" for row in rows if row["axiom"] in failed)
     cfg = parse_config(VALIDATE + kernel)
     reports = check_axioms(build_kernel(cfg), R=cfg.validate.r, epsilon=cfg.validate.epsilon,
-                           sample_budget=cfg.validate.budget, seed=cfg.seed)
+                           sample_budget=cfg.validate.budget, seed=cfg.validate.seed)
     assert [row["axiom"] for row in rows] == [r.axiom for r in reports]
     for row, report in zip(rows, reports):
         assert float(row["worst_violation"]) == report.worst_violation
@@ -442,7 +442,16 @@ def config_text(base, changes):
     ("converge", {"solver.eps_list": "0.5h"}, "solver: all continuation radii must be at least the lattice spacing"),
     ("converge", {"solver.eps_list": "2, 1"}, "kernel: epsilon must lie in (0, 1], got 2.0"),
     ("validate", {"validate.epsilon": "3"}, "validate: epsilon must lie in (0, 1]"),
-    ("validate", {"run.seed": "-1"}, "validate: seed must be non-negative, got -1"),
+    ("validate", {"validate.seed": "-1"}, "validate: seed must be non-negative, got -1"),
+    ("validate", {"run.seed": "3"}, "line 7: unknown key 'run.seed'"),
+    ("run", {"solver.end_time": "0.02"}, "line 7: unknown key 'solver.end_time'"),   # the field of solver.t
+    ("run", {"diag.slack_norms": "-1"}, "diag: slack_norms must be non-negative, got -1.0"),
+    ("run", {"diag.slack_tv": "-1e-9"}, "diag: slack_tv must be non-negative, got -1e-09"),
+    ("compare", {"diag.slack_contraction": "-1"}, "diag: slack_contraction must be non-negative, got -1.0"),
+    ("compare", {"diag.slack_comparison": "-1"}, "diag: slack_comparison must be non-negative, got -1.0"),
+    ("converge", {"solver.eps_list": "h"}, "solver: eps_list needs at least two radii, got 'h'"),
+    ("run", {"kernel.mu": "compact_bump"}, "kernel: compact_bump density needs kernel.r0"),
+    ("run", {"kernel.f": "table"}, "kernel: table nonlinearity needs kernel.f_table breakpoints"),
     *((command, {"kernel.family": "fractional_heat", "kernel.mu": "compact_bump", "kernel.r0": "0.1"},
        "kernel: family 'fractional_heat' does not use kernel.mu (got 'compact_bump')")
       for command in ("run", "compare", "converge", "validate")),
@@ -576,6 +585,25 @@ def test_help_exits_ok(capsys):
         main(["run", "--help"])
     assert info.value.code == EXIT_OK
     assert "--config" in capsys.readouterr().out
+
+
+def test_zero_slacks_are_valid():
+    slacks = ("slack_norms", "slack_tv", "slack_contraction", "slack_comparison")
+    cfg = parse_config(config_text(SMALL, {f"diag.{name}": "0" for name in slacks}))
+    assert [getattr(cfg.diag, name) for name in slacks] == [0.0] * 4
+
+
+def test_validate_seed_is_read_and_seed_flag_overrides_it(tmp_path):
+    """``validate.seed`` seeds the axiom sampling; ``--seed`` replaces it."""
+    def axioms_csv(name, text, *flags):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(VALIDATE + text, encoding="utf-8")
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / name), *flags]) == EXIT_OK
+        return (tmp_path / name / "axioms.csv").read_bytes()
+
+    seeded = axioms_csv("file", "validate.seed = 3\n")
+    assert seeded != axioms_csv("default", "")
+    assert seeded == axioms_csv("flag", "", "--seed", "3") == axioms_csv("both", "validate.seed = 4\n", "--seed", "3")
 
 
 def test_threads_is_an_unknown_key_and_flag(tmp_path, capsys):

@@ -60,7 +60,7 @@ def solvers(grid):
     """
     return st.builds(
         SolverSection, integrator=st.sampled_from(["explicit_euler", "backward_euler_picard"]),
-        t=positive, epsilon=maybe(unit) if grid.spacing <= 1.0 else unit, dt=maybe(positive),
+        end_time=positive, epsilon=maybe(unit) if grid.spacing <= 1.0 else unit, dt=maybe(positive),
         cfl_theta=unit, cfl_override=st.booleans(), picard_tol=positive,
         picard_max_iters=st.integers(1, 1000), snapshot_every=maybe(positive),
         eps_list=maybe(st.just("4h, 2h, h")) if 4.0 * grid.spacing <= 1.0 else st.none(), r=maybe(positive),
@@ -69,11 +69,12 @@ def solvers(grid):
 
 diags = st.builds(DiagSection, slack_norms=positive, slack_tv=positive,
                   slack_contraction=maybe(positive), slack_comparison=maybe(positive))
-validates = st.builds(ValidateSection, r=positive, epsilon=unit, budget=st.integers(1000, 10**6))
+validates = st.builds(ValidateSection, r=positive, epsilon=unit, budget=st.integers(1000, 10**6),
+                      seed=st.integers(0, 10**6))
 configs = grids.flatmap(lambda grid: st.builds(
     RunConfig, grid=st.just(grid), kernel=kernels, profile=profiles(grid),
     profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers(grid), diag=diags,
-    validate=validates, output_dir=names, seed=st.integers(0, 10**6),
+    validate=validates, output_dir=names,
 ))
 
 
