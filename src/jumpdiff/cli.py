@@ -6,8 +6,10 @@ Exit codes form a small contract for CI use:
 * 1 -- the command line or the configuration could not be parsed or
   validated, including a ``--config`` that cannot be read as UTF-8 text,
   an output directory that cannot be created, an output file that cannot
-  be written, a ``compare`` config without ``profile_b.*`` and a cutoff
-  radius ``solver.epsilon`` that leaves no lattice neighbour;
+  be written (a snapshot among them, as the writer process reports it,
+  also when the solver aborted), a ``compare`` config without
+  ``profile_b.*`` and a cutoff radius ``solver.epsilon`` that leaves no
+  lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, a dt that needs
@@ -26,9 +28,13 @@ one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs produce byte-identical outputs.  ``--seed``
 (overriding ``validate.seed``) is ``validate``'s alone: only axiom sampling reads it.
-Snapshots are filled into a row template built once per grid, one string
-operation per file; the bytes are those ``csv.writer`` gives for the same
-rows (``\\r\\n`` line endings).
+``run`` streams its snapshots to a writer process (``_snapshot_writer``)
+while the solver steps, and returns once that process has written them and
+exited; ``diagnostics.csv`` and ``checks.csv`` follow.  The writer stops at
+the first snapshot it cannot write, and then neither later snapshots nor
+those two files are written.  It fills a row template built once per grid,
+one string operation per file; the bytes are those ``csv.writer`` gives for
+the same rows (``\\r\\n`` line endings).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,7 +94,11 @@ def _output_file(path: Path):
         with open(path, "w", newline="") as fh:
             yield fh
     except OSError as exc:
-        raise ConfigError([(None, f"cannot write output file {path}: {exc.strerror or exc}")]) from exc
+        raise _write_error(path, exc.strerror or str(exc)) from exc
+
+
+def _write_error(path, reason: str) -> ConfigError:
+    return ConfigError([(None, f"cannot write output file {path}: {reason}")])
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -98,32 +109,96 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _snapshot_template(grid: GridSpec) -> str:
-    """A whole snapshot file of ``grid`` with each ``u`` cell left as ``%.17g``.
+class _SnapshotStream:
+    """The snapshot files of one ``run``, written by a writer process while the solver steps.
 
-    The ``i,x[,y]`` cells are formatted here once per grid, with the same
-    ``_fmt`` and the same ``\\r\\n`` line ending as ``_write_csv``; for a
-    Python float ``'%.17g' % u`` is ``format(u, '.17g')``, so a filled
-    template is the file ``csv.writer`` writes, byte for byte.
+    The process runs ``_snapshot_writer.py`` under ``-I -S``, started by
+    ``os.posix_spawn``, and :meth:`send`, the solver's ``on_snapshot``, hands
+    it each field over a pipe.  Where ``os.posix_spawn`` is missing or fails,
+    :meth:`send` writes each file in this process through the module's
+    ``SnapshotWriter``.  :meth:`close` ends the process; a caller closes the
+    stream on every path, so that no process outlives it.
     """
-    header = "i,x,u" if grid.dimension == 1 else "i,x,y,u"
-    centers = grid.cell_centers().tolist()
-    rows = [",".join([str(i), *map(_fmt, xs), "%.17g"]) for i, xs in enumerate(centers)]
-    return "\r\n".join([header, *rows, ""])
+
+    def __init__(self, outdir: Path, grid: GridSpec):
+        from . import _snapshot_writer
+
+        self.module = _snapshot_writer
+        self.args = (str(outdir), grid.dimension, grid.cells_per_axis, grid.period)
+        self.local = self.pid = self.fd = self.report_fd = None
+        self.exit_status, self.report = 0, b""
+        try:
+            self._spawn()
+        except (AttributeError, OSError, TypeError):   # no os.posix_spawn, no sys.executable, or no process
+            self.local = self.module.SnapshotWriter(*self.args)
+
+    def _spawn(self) -> None:
+        data_r, data_w = os.pipe()
+        report_r, report_w = os.pipe()
+        try:
+            self.pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-I", "-S", self.module.__file__, *map(str, self.args)],
+                os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, data_r, 0), (os.POSIX_SPAWN_DUP2, report_w, 1),
+                                          (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+        except BaseException:
+            os.close(data_w)
+            os.close(report_r)
+            raise
+        finally:
+            os.close(data_r)
+            os.close(report_w)
+        self.fd, self.report_fd = data_w, report_r
+
+    def send(self, k: int, field: Field) -> None:
+        """Have snapshot ``k`` written; a failed write is raised by :meth:`finish`."""
+        if self.local is not None:
+            self.local.write(k, field.values.tolist())
+        elif self.fd is not None:
+            data = memoryview(self.module.RECORD.pack(k, field.values.size) + field.values.tobytes())
+            try:
+                while data:
+                    data = data[os.write(self.fd, data):]
+            except BrokenPipeError:   # the process stopped at a file it could not write
+                self._close_pipe()
+
+    def _close_pipe(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def close(self) -> None:
+        """End the stream and wait for the process to write what it was sent and exit."""
+        self._close_pipe()
+        if self.pid is None:
+            return
+        with open(self.report_fd, "rb") as fh:
+            self.report = fh.read()
+        self.exit_status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+
+    def finish(self, traj: Trajectory) -> None:
+        """Close the stream; raise the :class:`ConfigError` of the first snapshot of ``traj`` not written.
+
+        A process that exits without a report and with a non-zero status has
+        left its files unknown, so every snapshot is written again here.
+        """
+        self.close()
+        if self.local is None and self.exit_status != 0 and not self.report:
+            self.local = self.module.SnapshotWriter(*self.args)
+            for k, field in enumerate(traj.fields):
+                self.local.write(k, field.values.tolist())
+        if self.local is not None and self.local.failure is not None:
+            path, reason = self.local.failure
+        elif self.report:
+            path, reason = map(os.fsdecode, self.report.split(b"\0", 1))
+        else:
+            return
+        raise _write_error(path, reason)
 
 
-def _write_snapshot(path: Path, field: Field, template: str) -> None:
-    """Write ``field`` as ``i,x[,y],u`` rows; ``template`` is ``_snapshot_template(field.grid)``."""
-    with _output_file(path) as fh:
-        fh.write(template % tuple(field.values.tolist()))
-
-
-def _write_trajectory(outdir: Path, tag: str, traj: Trajectory) -> None:
-    template = _snapshot_template(traj.grid)
-    for k, field in enumerate(traj.fields):
-        _write_snapshot(outdir / f"{tag}snapshot_{k:06d}.csv", field, template)
+def _write_diagnostics(outdir: Path, traj: Trajectory) -> None:
     _write_csv(
-        outdir / f"{tag}diagnostics.csv",
+        outdir / "diagnostics.csv",
         diagnostics.DiagnosticsRecord.COLUMNS,
         (rec.as_row() for rec in traj.records),
     )
@@ -231,13 +306,16 @@ def _report_checks(results) -> int:
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
     (ctx,), (u0,), sc = _prepare_run(cfg, cfg.profile)
-    try:
-        traj = run_solver(ctx, u0, sc)
-    except SolverAbortError as exc:
-        if exc.trajectory is not None:
-            _write_trajectory(outdir, "", exc.trajectory)
-        raise
-    _write_trajectory(outdir, "", traj)
+    with contextlib.closing(_SnapshotStream(outdir, cfg.grid)) as snapshots:
+        try:
+            traj = run_solver(ctx, u0, sc, on_snapshot=snapshots.send)
+        except SolverAbortError as exc:
+            if exc.trajectory is not None:
+                snapshots.finish(exc.trajectory)
+                _write_diagnostics(outdir, exc.trajectory)
+            raise
+        snapshots.finish(traj)
+    _write_diagnostics(outdir, traj)
     results = _monotone_checks(cfg, traj)
     _write_checks(outdir, "", results)
     return _report_checks(results)

@@ -245,20 +245,19 @@ def parse_config(text: str) -> RunConfig:
     else:
         grid = built("grid", lambda: make_grid(**g))
 
+    solver = built("solver", lambda: SolverSection(**sections["solver"]))
     cfg = RunConfig(
         grid=grid,
         kernel=KernelConfig(**sections["kernel"]),
         profile=ProfileConfig(**sections["profile"]),
         profile_b=ProfileConfig(**sections["profile_b"]) if sections["profile_b"] else None,
-        # The set-up keys alone until the section's constructor, after the grid, checks the rest.
-        solver=SolverSection(**{k: v for k, v in sections["solver"].items() if k in _SET_UP_KEYS}),
+        # Where the section's constructor failed, its set-up keys still set up the radii checked below.
+        solver=solver or SolverSection(**{k: v for k, v in sections["solver"].items() if k in _SET_UP_KEYS}),
         **sections["top"],
     )
 
     if grid is not None:
-        solver = built("solver", lambda: SolverSection(**sections["solver"]))
-        cfg = replace(cfg, solver=solver or cfg.solver)
-        radii = [] if solver is None else [solver_config(cfg).epsilon]
+        radii = [solver_config(cfg).epsilon]
         if cfg.solver.eps_list is not None:
             radii += built("solver", lambda: resolve_eps_list(cfg)) or []
         kernel = built("kernel", lambda: build_kernel(cfg))

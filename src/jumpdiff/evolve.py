@@ -82,7 +82,7 @@ DIVERGENCE_FACTOR = 1e3
 
 
 class CflViolationError(ValueError):
-    """Explicit step requested with dt above the CFL limit."""
+    """Explicit run requested with a dt above the CFL limit (see :func:`_step_policy`)."""
 
 
 class PicardDivergedError(RuntimeError):
@@ -171,15 +171,13 @@ def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) 
     return dt
 
 
-def step_explicit(ctx: OperatorContext, u: Field, dt: float, max_dt: float | None = None) -> Field:
+def step_explicit(ctx: OperatorContext, u: Field, dt: float) -> Field:
     """One forward Euler step ``u - dt * L_u u``.
 
-    Raises :class:`CflViolationError` when ``dt`` exceeds ``max_dt`` (None:
-    no limit), and :class:`SolverAbortError` (without a trajectory) when the
-    update leaves the float range.
+    Raises :class:`SolverAbortError` (without a trajectory) when the update
+    leaves the float range.  A run checks its dt against the CFL limit
+    before its first step (:func:`_step_policy`).
     """
-    if max_dt is not None and dt > max_dt * (1.0 + 1e-12):
-        raise CflViolationError(f"dt = {dt:g} exceeds the CFL limit {max_dt:g}")
     with np.errstate(over="ignore", invalid="ignore"):
         values = u.values - dt * _apply_raw(ctx, u.values, u.values)
     if not np.isfinite(values).all():
@@ -439,20 +437,26 @@ def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
     return 0.0
 
 
-def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, float, float | None]:
-    """A run's ``(dt, snapshot_every, max_dt)``; ``dt`` is ``config.dt``, or else ``max_dt``.
+def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, float]:
+    """A run's ``(dt, snapshot_every)``; ``dt`` is ``config.dt``, or else the CFL limit ``max_dt``.
 
-    The snapshot interval defaults to ``end_time / 10``.  ``max_dt``, the CFL limit with that interval as
-    its fallback, is None unless an explicit step or an unset dt needs it.
+    The snapshot interval defaults to ``end_time / 10``, and ``max_dt`` takes it as its fallback; only
+    an explicit run or an unset dt computes ``max_dt``.  Unless ``config.cfl_override`` is set, an
+    explicit run whose first step, its longest, exceeds ``max_dt`` raises :class:`CflViolationError`,
+    so that it records no snapshot.
     """
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
-    max_dt = None
-    if config.integrator == "explicit_euler" or config.dt is None:
-        max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
-    return (config.dt if config.dt is not None else max_dt), snapshot_every, max_dt
+    if config.dt is not None and config.integrator != "explicit_euler":
+        return config.dt, snapshot_every
+    max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
+    dt = config.dt if config.dt is not None else max_dt
+    longest = min(dt, config.end_time)
+    if not config.cfl_override and longest > max_dt * (1.0 + 1e-12):
+        raise CflViolationError(f"dt = {longest:g} exceeds the CFL limit {max_dt:g}")
+    return dt, snapshot_every
 
 
-def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
+def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None) -> Trajectory:
     """Integrate from ``u0`` to ``config.end_time``, recording snapshots.
 
     Snapshots are taken at multiples of ``snapshot_every`` in simulated
@@ -460,7 +464,9 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
     partial trajectory attached, as does a non-finite kernel value or
-    update in an explicit step.  A run that needs more than ``MAX_STEPS``
+    update in an explicit step.  An explicit dt above the CFL limit raises
+    :class:`CflViolationError` before the first snapshot (unless
+    ``cfl_override`` is set), and a run that needs more than ``MAX_STEPS``
     steps of its dt raises :class:`SolverAbortError` before the first one.
 
     Implicit steps whose fixed-point iteration diverges are retried with
@@ -471,10 +477,14 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
     first step and an attempt right after a divergence start from the
     current state.  ``picard_iters`` of each snapshot counts the fixed-point
     iterations of every step since the previous snapshot.
+
+    ``on_snapshot(k, field)``, when given, is called with the index and
+    field of each snapshot right after it is recorded, so a caller can
+    write snapshots while the run proceeds.
     """
     T = config.end_time
     explicit = config.integrator == "explicit_euler"
-    dt_base, snapshot_every, max_dt = _step_policy(ctx, config)
+    dt_base, snapshot_every = _step_policy(ctx, config)
     steps = T / dt_base
     if steps > MAX_STEPS:
         raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt_base:g}, "
@@ -488,6 +498,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         traj.times.append(t)
         traj.fields.append(u_field)
         traj.records.append(rec)
+        if on_snapshot is not None:
+            on_snapshot(len(traj.fields) - 1, u_field)
 
     emit(0.0, u0, 0)
     u = u0
@@ -499,7 +511,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig) -> Trajectory:
         dt = min(dt_base, T - t)
         if explicit:
             try:
-                u_next = step_explicit(ctx, u, dt, max_dt=None if config.cfl_override else max_dt)
+                u_next = step_explicit(ctx, u, dt)
             except (NonFiniteKernelError, SolverAbortError) as exc:
                 raise SolverAbortError(f"explicit step from t = {t:g}: {exc}", traj) from exc
         else:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpdiff
+from jumpdiff import _snapshot_writer
 from jumpdiff.axioms import check_axioms
-from jumpdiff.cli import EXIT_AXIOM, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _snapshot_template, _write_snapshot, main
+from jumpdiff.cli import EXIT_AXIOM, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from jumpdiff.config import (
     _FAMILIES,
     _KEY_READERS,
@@ -55,10 +57,18 @@ def one_line(err):
     return lines[0]
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_oversized_explicit_dt_exits_solver(tmp_path, capsys):
+    """The dt is refused before the first snapshot, so nothing is written."""
     text = IMPLICIT + "solver.integrator = explicit_euler\nsolver.dt = 0.01\n"
     assert run_cli(tmp_path, text) == EXIT_SOLVER
     assert "CFL" in one_line(capsys.readouterr().err)
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_process()
 
 
 def test_empty_neighborhood_exits_config(tmp_path, capsys):
@@ -107,6 +117,56 @@ def test_sup_norm_guard_aborts_with_the_partial_trajectory(tmp_path, capsys):
     assert run_cli(tmp_path, text + f"solver.dt = {dt!r}\n") == EXIT_SOLVER
     assert one_line(capsys.readouterr().err).startswith("solver aborted: sup norm grew from 1 to ")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
+    assert_no_child_process()
+
+
+def test_a_failed_snapshot_write_of_an_aborted_run_exits_config(tmp_path, capsys):
+    text = ("grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nprofile.kind = box\nprofile.width = 0.3\n"
+            "solver.integrator = explicit_euler\nsolver.cfl_override = true\nsolver.dt = 1.5e308\n"
+            "solver.t = 1.5e308\n")
+    (tmp_path / "out" / "snapshot_000000.csv").mkdir(parents=True)
+    assert run_cli(tmp_path, text) == EXIT_CONFIG
+    path = tmp_path / "out" / "snapshot_000000.csv"
+    assert one_line(capsys.readouterr().err).endswith(f"cannot write output file {path}: Is a directory")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["snapshot_000000.csv"]
+    assert_no_child_process()
+
+
+def test_a_later_snapshot_that_cannot_be_written_exits_config(tmp_path, capsys):
+    """The writer stops at that file: the earlier snapshots stay, and neither later ones nor diagnostics follow."""
+    blocked = tmp_path / "out" / "snapshot_000002.csv"
+    blocked.mkdir(parents=True)
+    assert run_cli(tmp_path, IMPLICIT) == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err) == (
+        f"invalid configuration (1 problem(s)): cannot write output file {blocked}: Is a directory")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "snapshot_000000.csv", "snapshot_000001.csv", "snapshot_000002.csv"]
+    assert_no_child_process()
+
+
+def run_outputs(tmp_path, out):
+    assert run_cli(tmp_path, IMPLICIT, out) == EXIT_OK
+    assert_no_child_process()
+    return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+
+
+def no_process(*args, **kwargs):
+    raise OSError("no process")
+
+
+@pytest.mark.parametrize("patch", ["raise", "missing", "no_executable", "writer_exits"])
+def test_snapshots_without_a_writer_process_are_the_same_files(tmp_path, monkeypatch, patch):
+    """Where no writer process starts, or one exits without writing or reporting, this process writes them."""
+    expected = run_outputs(tmp_path, "process")
+    if patch == "raise":
+        monkeypatch.setattr(os, "posix_spawn", no_process)
+    elif patch == "missing":
+        monkeypatch.delattr(os, "posix_spawn")
+    elif patch == "no_executable":   # sys.executable may be None where Python cannot find its own path
+        monkeypatch.setattr(sys, "executable", None)
+    else:
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    assert run_outputs(tmp_path, patch) == expected
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
@@ -191,6 +251,19 @@ def test_run_of_decoupled_kernels_never_imports_scipy(tmp_path):
     result = run_script(RUN_WITHOUT_SCIPY, *paths)
     assert result["codes"] == [EXIT_OK, EXIT_OK]
     assert result["scipy"] == []
+
+
+IMPORT_THE_CLI = """\
+import json, sys
+import jumpdiff.cli
+
+print(json.dumps([name for name in ("subprocess", "jumpdiff._snapshot_writer") if name in sys.modules]))
+"""
+
+
+def test_importing_the_cli_loads_neither_subprocess_nor_the_snapshot_writer():
+    """Only a ``run`` loads the writer module, so set-up never pays for it."""
+    assert run_script(IMPORT_THE_CLI) == []
 
 
 COMMANDS_WITH_SCIPY_BLOCKED = """\
@@ -394,19 +467,82 @@ def reference_snapshot(field):
     return buf.getvalue().encode()
 
 
+def write_snapshots(outdir, grid, fields, script=None):
+    """The writer process run under ``-I -S`` on ``fields``; returns its standard error."""
+    args = ["-c", script] if script else []
+    records = b"".join(_snapshot_writer.RECORD.pack(k, f.values.size) + f.values.tobytes()
+                       for k, f in enumerate(fields))
+    proc = subprocess.run([sys.executable, "-I", "-S", *args, _snapshot_writer.__file__, str(outdir),
+                           str(grid.dimension), str(grid.cells_per_axis), repr(grid.period)],
+                          input=records, capture_output=True, timeout=60, check=True)
+    assert proc.stdout == b""
+    return proc.stderr.decode()
+
+
 @pytest.mark.parametrize("dimension, cells", [(1, 13), (2, 5)])
 def test_snapshot_matches_csv_writer_and_round_trips(tmp_path, dimension, cells):
     grid = make_grid(dimension, cells, 1.0)
     values = np.random.default_rng(7).normal(scale=3.0, size=grid.n_cells)
     values[:len(SPECIAL_VALUES)] = SPECIAL_VALUES
-    field = Field(grid, values)
-    path = tmp_path / "snapshot.csv"
-    _write_snapshot(path, field, _snapshot_template(grid))
-    assert path.read_bytes() == reference_snapshot(field)
-    with open(path, newline="") as fh:
-        stored = [float(row["u"]) for row in csv.DictReader(fh)]
-    assert np.array_equal(np.array(stored), field.values)
-    assert [np.signbit(x) for x in stored] == list(np.signbit(field.values))
+    fields = [Field(grid, values), Field(grid, -values[::-1])]
+    assert write_snapshots(tmp_path, grid, fields) == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_000000.csv", "snapshot_000001.csv"]
+    for k, field in enumerate(fields):
+        path = tmp_path / f"snapshot_{k:06d}.csv"
+        assert path.read_bytes() == reference_snapshot(field)
+        with open(path, newline="") as fh:
+            stored = [float(row["u"]) for row in csv.DictReader(fh)]
+        assert np.array_equal(np.array(stored), field.values)
+        assert [np.signbit(x) for x in stored] == list(np.signbit(field.values))
+
+
+# Runs the writer module's main on the command line that ``python FILE ...`` would give it,
+# then names every module loaded.
+LOADED_MODULES = """\
+import sys
+sys.argv = sys.argv[1:]
+namespace = {"__name__": "snapshot_writer"}
+with open(sys.argv[0], encoding="utf-8") as fh:
+    exec(compile(fh.read(), sys.argv[0], "exec"), namespace)
+namespace["main"](sys.argv)
+sys.stderr.write(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_the_writer_process_loads_neither_numpy_nor_jumpdiff(tmp_path):
+    grid = make_grid(2, 4, 1.0)
+    loaded = write_snapshots(tmp_path, grid, [Field(grid, np.arange(16.0))], LOADED_MODULES).split()
+    assert "os" in loaded
+    assert [name for name in loaded if name.split(".")[0] in ("numpy", "jumpdiff")] == []
+    assert (tmp_path / "snapshot_000000.csv").read_bytes() == reference_snapshot(Field(grid, np.arange(16.0)))
+
+
+class FormattedFloats(dict):
+    """``format(x, '.17g')`` of each float looked up, formatted once."""
+
+    def __missing__(self, x):
+        self[x] = format(x, ".17g")
+        return self[x]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("cells", [3, 13, 1000])
+@pytest.mark.parametrize("period", [1.0, 0.3, 2 * np.pi])
+def test_writer_template_holds_the_grid_cell_centers(dimension, cells, period):
+    """The writer's template, formatted from its own centres, is the one formatted from ``cell_centers``."""
+    grid = make_grid(dimension, cells, period)
+    template = _snapshot_writer.template(dimension, cells, float(period))
+    header = "i,x,u\r\n" if dimension == 1 else "i,x,y,u\r\n"
+    assert template.startswith(header)
+    pos = len(header)
+    centers = grid.cell_centers()
+    formatted = FormattedFloats()
+    for lo in range(0, grid.n_cells, cells):   # one row of the grid at a time
+        columns = [map(formatted.__getitem__, centers[lo:lo + cells, d].tolist()) for d in range(dimension)]
+        block = "".join([f"{i},{','.join(xs)},%.17g\r\n" for i, xs in enumerate(zip(*columns), start=lo)])
+        assert template[pos:pos + len(block)] == block
+        pos += len(block)
+    assert pos == len(template)
 
 
 SMALL = {"grid.n": "1", "grid.m": "32", "grid.l": "1.0", "kernel.family": "porous_medium",

@@ -1,9 +1,11 @@
 from dataclasses import replace
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from jumpdiff.config import (
+    ConfigError,
     DiagSection,
     KernelConfig,
     ProfileConfig,
@@ -86,3 +88,20 @@ def test_serialize_parse_round_trip(cfg):
 def test_all_default_profile_b_survives_round_trip():
     cfg = RunConfig(grid=make_grid(1, 16, 1.0), profile_b=ProfileConfig())
     assert parse_config(serialize_config(cfg)).profile_b == ProfileConfig()
+
+
+GRID = "grid.n = 1\ngrid.m = 16\ngrid.l = 1.0\n"
+
+
+@pytest.mark.parametrize("text, problems", [
+    ("grid.n = 1\nsolver.integrator = bogus\n",
+     ["missing required grid keys: grid.m, grid.l", "solver: unknown integrator 'bogus'"]),
+    (GRID + "solver.picard_tol = 0\nsolver.epsilon = 5\n",
+     ["solver: picard_tol must be positive", "kernel: epsilon must lie in (0, 1], got 5.0"]),
+    (GRID + "solver.epsilon = 5\n", ["kernel: epsilon must lie in (0, 1], got 5.0"]),
+])
+def test_the_solver_section_is_checked_whatever_else_fails(text, problems):
+    """The section is built without a grid, and its cutoff radius is checked when the section fails."""
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert [msg for _, msg in info.value.problems] == problems
