@@ -6,10 +6,11 @@
 steps.  Each record on standard input is a ``RECORD`` header, the snapshot
 index and the number of cells, followed by that many native float64
 values; each becomes ``OUTDIR/snapshot_<index>.csv`` with ``i,x[,y],u``
-rows.  At the first file that cannot be written the process reports
-``path NUL reason`` on standard output, writes no further file and exits.
-Where no process can be started, ``cli`` writes through
-:class:`SnapshotWriter` in its own process instead.
+rows.  The exit status is all the process reports: 0 once standard input
+ends with every record written, 1 at the first file that cannot be
+written, after which it writes no further file.  It prints nothing.
+``cli`` calls :func:`write` in its own process for a trajectory that no
+process wrote.
 
 The module imports the standard library alone, so the process starts
 without numpy or ``jumpdiff``.  The ``u`` cells are ``%.17g`` and the
@@ -44,47 +45,38 @@ def template(dimension: int, cells: int, period: float) -> str:
     return "\r\n".join([header, *rows, ""])
 
 
-class SnapshotWriter:
-    """Writes snapshot files into ``outdir`` until the first one that cannot be written.
+def write(outdir: str, dimension: int, cells: int, period: float, records) -> tuple[str, str] | None:
+    """Write each ``(index, values)`` of ``records``, one float per cell, as snapshot ``index``.
 
-    ``failure`` is then ``(path, reason)`` and every later :meth:`write` does nothing.
+    Stops at the first file that cannot be written and returns its
+    ``(path, reason)``; None once every record is written.
     """
-
-    def __init__(self, outdir: str, dimension: int, cells: int, period: float):
-        self.outdir = outdir
-        self.template = template(dimension, cells, period)
-        self.failure: tuple[str, str] | None = None
-
-    def write(self, index: int, values) -> None:
-        """Write ``values``, one float per cell, as snapshot ``index``."""
-        if self.failure is not None:
-            return
-        path = os.path.join(self.outdir, f"snapshot_{index:06d}.csv")
+    text = template(dimension, cells, period)
+    for index, values in records:
+        path = os.path.join(outdir, f"snapshot_{index:06d}.csv")
         try:
             with open(path, "wb") as fh:
-                fh.write((self.template % tuple(values)).encode("ascii"))
+                fh.write((text % tuple(values)).encode("ascii"))
         except OSError as exc:
-            self.failure = (path, exc.strerror or str(exc))
+            return path, exc.strerror or str(exc)
+    return None
+
+
+def _records(source):
+    """The ``(index, values)`` records of the binary stream ``source``, up to its end."""
+    while len(header := source.read(RECORD.size)) == RECORD.size:
+        index, count = RECORD.unpack(header)
+        values = array("d")
+        values.frombytes(source.read(8 * count))
+        yield index, values
 
 
 def main(argv) -> int:
     outdir, dimension, cells, period = argv[1:]
-    writer = SnapshotWriter(outdir, int(dimension), int(cells), float(period))
-    source = sys.stdin.buffer
-    while writer.failure is None:
-        header = source.read(RECORD.size)
-        if len(header) < RECORD.size:
-            return 0
-        index, count = RECORD.unpack(header)
-        values = array("d")
-        values.frombytes(source.read(8 * count))
-        writer.write(index, values)
-    path, reason = writer.failure
-    os.write(1, os.fsencode(path) + b"\0" + os.fsencode(reason))
-    return 0
+    return 0 if write(outdir, int(dimension), int(cells), float(period), _records(sys.stdin.buffer)) is None else 1
 
 
 if __name__ == "__main__":
-    # Every file is closed and the report is unbuffered, so nothing is left to flush: skipping
-    # the interpreter's finalization ends the process, which the run waits for, ~4 ms sooner.
+    # Every file is closed and nothing is printed, so nothing is left to flush: skipping the
+    # interpreter's finalization ends the process, which the run waits for, ~4 ms sooner.
     os._exit(main(sys.argv))

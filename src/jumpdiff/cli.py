@@ -6,17 +6,17 @@ Exit codes form a small contract for CI use:
 * 1 -- the command line or the configuration could not be parsed or
   validated, including a ``--config`` that cannot be read as UTF-8 text,
   an output directory that cannot be created, an output file that cannot
-  be written (a snapshot among them, as the writer process reports it,
-  also when the solver aborted), a ``compare`` config without
-  ``profile_b.*`` and a cutoff radius ``solver.epsilon`` that leaves no
-  lattice neighbour;
+  be written (a snapshot among them, also when the solver aborted), a
+  ``compare`` config without ``profile_b.*`` and a cutoff radius
+  ``solver.epsilon`` that leaves no lattice neighbour;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
-  a certified row-sum bound that leaves no positive dt, a dt that needs
-  more steps than the step budget ``evolve.MAX_STEPS`` = 10^7, an implicit
-  step that still diverged after 10 dt halvings, a non-finite kernel value
-  or update in an explicit step, a broken sup-norm guard) or a run's
-  structural check failed.
+  a certified row-sum bound that leaves no positive dt, a dt or a
+  ``solver.snapshot_every`` that needs more steps or snapshot intervals
+  than the step budget ``evolve.MAX_STEPS`` = 10^7, an implicit step that
+  still diverged after 10 dt halvings, a non-finite kernel value or update
+  in an explicit step, a broken sup-norm guard) or a run's structural
+  check failed.
 
 Each failure prints a one-line message on stderr, never a traceback.  The
 commands raise; ``main`` maps a :class:`config.ConfigError` or an empty
@@ -29,12 +29,14 @@ tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs produce byte-identical outputs.  ``--seed``
 (overriding ``validate.seed``) is ``validate``'s alone: only axiom sampling reads it.
 ``run`` streams its snapshots to a writer process (``_snapshot_writer``)
-while the solver steps, and returns once that process has written them and
-exited; ``diagnostics.csv`` and ``checks.csv`` follow.  The writer stops at
-the first snapshot it cannot write, and then neither later snapshots nor
-those two files are written.  It fills a row template built once per grid,
-one string operation per file; the bytes are those ``csv.writer`` gives for
-the same rows (``\\r\\n`` line endings).
+while the solver steps and waits for it to exit.  Where no process starts,
+or one does not exit 0, ``run`` writes every snapshot in its own process
+once the solver stops.  ``diagnostics.csv`` and ``checks.csv`` follow.
+Snapshots are written in order up to the first one that cannot be written,
+and then neither later snapshots nor those two files are written.  A row
+template built once per grid gives each file in one string operation; the
+bytes are those ``csv.writer`` gives for the same rows (``\\r\\n`` line
+endings).
 """
 
 from __future__ import annotations
@@ -87,26 +89,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@contextlib.contextmanager
-def _output_file(path: Path):
-    """``path`` opened for writing; an ``OSError`` in opening or writing it becomes a :class:`ConfigError`."""
-    try:
-        with open(path, "w", newline="") as fh:
-            yield fh
-    except OSError as exc:
-        raise _write_error(path, exc.strerror or str(exc)) from exc
-
-
 def _write_error(path, reason: str) -> ConfigError:
     return ConfigError([(None, f"cannot write output file {path}: {reason}")])
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with _output_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write ``header`` and ``rows`` to ``path``; an ``OSError`` on the way becomes a :class:`ConfigError`."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise _write_error(path, exc.strerror or str(exc)) from exc
 
 
 class _SnapshotStream:
@@ -114,10 +110,11 @@ class _SnapshotStream:
 
     The process runs ``_snapshot_writer.py`` under ``-I -S``, started by
     ``os.posix_spawn``, and :meth:`send`, the solver's ``on_snapshot``, hands
-    it each field over a pipe.  Where ``os.posix_spawn`` is missing or fails,
-    :meth:`send` writes each file in this process through the module's
-    ``SnapshotWriter``.  :meth:`close` ends the process; a caller closes the
-    stream on every path, so that no process outlives it.
+    it each field over a pipe.  Its exit status is all it reports: 0 once it
+    has written every field it was sent, 1 at the first file it cannot write.
+    :meth:`finish` writes the trajectory in this process whenever no process
+    exited 0.  :meth:`close` ends the process; a caller closes the stream on
+    every path, so that no process outlives it.
     """
 
     def __init__(self, outdir: Path, grid: GridSpec):
@@ -125,75 +122,56 @@ class _SnapshotStream:
 
         self.module = _snapshot_writer
         self.args = (str(outdir), grid.dimension, grid.cells_per_axis, grid.period)
-        self.local = self.pid = self.fd = self.report_fd = None
-        self.exit_status, self.report = 0, b""
-        try:
+        self.pid = self.fd = self.exit_status = None
+        # No os.posix_spawn, no sys.executable or no process: finish writes every snapshot.
+        with contextlib.suppress(AttributeError, OSError, TypeError):
             self._spawn()
-        except (AttributeError, OSError, TypeError):   # no os.posix_spawn, no sys.executable, or no process
-            self.local = self.module.SnapshotWriter(*self.args)
 
     def _spawn(self) -> None:
         data_r, data_w = os.pipe()
-        report_r, report_w = os.pipe()
         try:
             self.pid = os.posix_spawn(
                 sys.executable, [sys.executable, "-I", "-S", self.module.__file__, *map(str, self.args)],
-                os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, data_r, 0), (os.POSIX_SPAWN_DUP2, report_w, 1),
+                os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, data_r, 0),
                                           (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
         except BaseException:
             os.close(data_w)
-            os.close(report_r)
             raise
         finally:
             os.close(data_r)
-            os.close(report_w)
-        self.fd, self.report_fd = data_w, report_r
+        self.fd = data_w
 
     def send(self, k: int, field: Field) -> None:
-        """Have snapshot ``k`` written; a failed write is raised by :meth:`finish`."""
-        if self.local is not None:
-            self.local.write(k, field.values.tolist())
-        elif self.fd is not None:
+        """Hand snapshot ``k`` to the process; :meth:`finish` writes it if the process does not."""
+        if self.fd is not None:
             data = memoryview(self.module.RECORD.pack(k, field.values.size) + field.values.tobytes())
             try:
                 while data:
                     data = data[os.write(self.fd, data):]
             except BrokenPipeError:   # the process stopped at a file it could not write
-                self._close_pipe()
-
-    def _close_pipe(self) -> None:
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+                self.close()
 
     def close(self) -> None:
         """End the stream and wait for the process to write what it was sent and exit."""
-        self._close_pipe()
-        if self.pid is None:
-            return
-        with open(self.report_fd, "rb") as fh:
-            self.report = fh.read()
-        self.exit_status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            self.exit_status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
 
     def finish(self, traj: Trajectory) -> None:
         """Close the stream; raise the :class:`ConfigError` of the first snapshot of ``traj`` not written.
 
-        A process that exits without a report and with a non-zero status has
-        left its files unknown, so every snapshot is written again here.
+        Unless a process ran and exited 0, every snapshot of ``traj`` is
+        written here, in this process.  A file the process could not write
+        then fails again, and its reason is raised.
         """
         self.close()
-        if self.local is None and self.exit_status != 0 and not self.report:
-            self.local = self.module.SnapshotWriter(*self.args)
-            for k, field in enumerate(traj.fields):
-                self.local.write(k, field.values.tolist())
-        if self.local is not None and self.local.failure is not None:
-            path, reason = self.local.failure
-        elif self.report:
-            path, reason = map(os.fsdecode, self.report.split(b"\0", 1))
-        else:
-            return
-        raise _write_error(path, reason)
+        if self.exit_status != 0:
+            failure = self.module.write(*self.args, enumerate(field.values.tolist() for field in traj.fields))
+            if failure is not None:
+                raise _write_error(*failure)
 
 
 def _write_diagnostics(outdir: Path, traj: Trajectory) -> None:

@@ -67,8 +67,9 @@ INTEGRATORS = ("explicit_euler", "backward_euler_picard")
 # violated CFL condition or a diverged fixed point, and the run aborts.
 SUP_NORM_SLACK = 1e-10
 
-# The most time steps a run may take.  The largest test or benchmark config
-# takes 624; a certified but tiny dt would otherwise run for ever.
+# The most time steps, and snapshot intervals, a run may take.  The largest
+# test or benchmark config takes 624 steps and 2,000 intervals; a certified
+# but tiny dt, or a tiny snapshot interval, would otherwise run for ever.
 MAX_STEPS = 10**7
 
 # Anderson acceleration of the implicit solve: the number of past residual
@@ -467,7 +468,8 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
     update in an explicit step.  An explicit dt above the CFL limit raises
     :class:`CflViolationError` before the first snapshot (unless
     ``cfl_override`` is set), and a run that needs more than ``MAX_STEPS``
-    steps of its dt raises :class:`SolverAbortError` before the first one.
+    steps of its dt, or snapshot intervals, raises :class:`SolverAbortError`
+    before the first one.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
@@ -488,6 +490,10 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
     steps = T / dt_base
     if steps > MAX_STEPS:
         raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt_base:g}, "
+                               f"more than the budget of {MAX_STEPS:.0e}")
+    intervals = T / snapshot_every
+    if intervals > MAX_STEPS:   # each interval costs one addition to next_snap below
+        raise SolverAbortError(f"the run asks for {intervals:.3g} snapshot intervals of {snapshot_every:g}, "
                                f"more than the budget of {MAX_STEPS:.0e}")
 
     traj = Trajectory(grid=ctx.grid)

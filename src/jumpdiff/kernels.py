@@ -319,15 +319,14 @@ class JumpKernel:
 
     ``eval`` and ``majorant`` are pure, reentrant and fully vectorized over
     broadcastable array arguments; the operator module calls them from hot
-    loops.  ``dim`` is the spatial dimension baked into the radial part
-    (``None`` for dimension-free kernels such as the zero kernel).
+    loops.  ``dim`` is the spatial dimension baked into the radial part.
     ``moment(R, lo, hi, power)`` is the exact radial moment of the
     majorant (:func:`majorant_moment`); every built-in constructor states
     it, and a kernel without one is integrated by quadrature.
     """
 
     name: str
-    dim: int | None
+    dim: int
     eval_fn: Callable = field(repr=False)
     majorant_fn: Callable = field(repr=False)
     support_radius: float | None = None
@@ -571,8 +570,10 @@ def _variable_order_moment(A1: float, A2: float, dim: int, lo: float, hi: float,
     return _SPHERE_AREA[dim] * total
 
 
-def make_zero_kernel(dim: int | None = None) -> JumpKernel:
-    """The trivial kernel ``m = 0``; the induced flow is ``u(t) = u0``."""
+def make_zero_kernel(dim: int) -> JumpKernel:
+    """The trivial kernel ``m = 0`` in dimension ``dim``; the induced flow is ``u(t) = u0``."""
+    if dim not in (1, 2):
+        raise ValueError(f"unsupported dimension {dim}")
 
     def ev(a, b, r):
         return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r)))
@@ -588,9 +589,8 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
     """Non-negative combination ``alpha*k1 + beta*k2`` (the class is a cone)."""
     if alpha < 0 or beta < 0:
         raise ValueError("cone coefficients must be non-negative")
-    if k1.dim is not None and k2.dim is not None and k1.dim != k2.dim:
+    if k1.dim != k2.dim:
         raise ValueError(f"cannot combine kernels of dimensions {k1.dim} and {k2.dim}")
-    dim = k1.dim if k1.dim is not None else k2.dim
     if k1.support_radius is None or k2.support_radius is None:
         support = None
     else:
@@ -607,7 +607,7 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
 
     return JumpKernel(
         name=f"cone({alpha}*{k1.name}+{beta}*{k2.name})",
-        dim=dim,
+        dim=k1.dim,
         eval_fn=ev,
         majorant_fn=maj,
         support_radius=support,
@@ -667,7 +667,7 @@ class RegularizedKernel:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
     @property
-    def dim(self) -> int | None:
+    def dim(self) -> int:
         return self.base.dim
 
     def eval(self, a, b, r):
@@ -728,7 +728,7 @@ def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: f
         return float(kernel.moment(float(R), lo, hi, power))
     if kernel.support_radius is not None:
         hi = min(hi, kernel.support_radius)
-    dim = kernel.dim if kernel.dim is not None else 1
+    dim = kernel.dim
     area = _SPHERE_AREA[dim]
 
     def integrand(r):

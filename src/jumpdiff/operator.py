@@ -145,7 +145,7 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
     is allowed but worth a warning); raises :class:`EmptyNeighborhoodError`
     when that leaves none.
     """
-    if regkernel.dim is not None and regkernel.dim != grid.dimension:
+    if regkernel.dim != grid.dimension:
         raise ValueError(f"kernel dimension {regkernel.dim} does not match grid dimension {grid.dimension}")
     if R <= 0:
         raise ValueError("bound R must be positive")

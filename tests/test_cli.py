@@ -107,14 +107,19 @@ def test_config_line_rules_exit_config_in_one_line(tmp_path, capsys):
         "line 6: duplicate key 'grid.m' (first set on line 4)")
 
 
-def test_sup_norm_guard_aborts_with_the_partial_trajectory(tmp_path, capsys):
+def sup_norm_abort():
+    """A 1-d explicit config whose dt breaks the sup-norm guard in its first step."""
     text = ("grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nprofile.kind = box\nprofile.width = 0.3\n"
             "solver.integrator = explicit_euler\nsolver.cfl_override = true\n")
     cfg = parse_config(text)
     ctx = build_context(cfg.grid, regularize(build_kernel(cfg), solver_config(cfg).epsilon), 1.0)
     # Three times 1 / M_R, the largest dt at which every explicit update is a convex combination.
     dt = 6.0 * cfl_dt(ctx, 1.0, 1.0)
-    assert run_cli(tmp_path, text + f"solver.dt = {dt!r}\n") == EXIT_SOLVER
+    return text + f"solver.dt = {dt!r}\n"
+
+
+def test_sup_norm_guard_aborts_with_the_partial_trajectory(tmp_path, capsys):
+    assert run_cli(tmp_path, sup_norm_abort()) == EXIT_SOLVER
     assert one_line(capsys.readouterr().err).startswith("solver aborted: sup norm grew from 1 to ")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["diagnostics.csv", "snapshot_000000.csv"]
     assert_no_child_process()
@@ -167,6 +172,23 @@ def test_snapshots_without_a_writer_process_are_the_same_files(tmp_path, monkeyp
     else:
         monkeypatch.setattr(sys, "executable", shutil.which("false"))
     assert run_outputs(tmp_path, patch) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["success", "blocked", "abort", "no_process"])
+def test_run_leaves_no_file_descriptor_open(tmp_path, monkeypatch, case):
+    text, code = IMPLICIT, EXIT_OK
+    if case == "blocked":
+        (tmp_path / "out" / "snapshot_000002.csv").mkdir(parents=True)
+        code = EXIT_CONFIG
+    elif case == "abort":
+        text, code = sup_norm_abort(), EXIT_SOLVER
+    elif case == "no_process":
+        monkeypatch.setattr(os, "posix_spawn", no_process)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert run_cli(tmp_path, text) == code
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
@@ -467,14 +489,19 @@ def reference_snapshot(field):
     return buf.getvalue().encode()
 
 
-def write_snapshots(outdir, grid, fields, script=None):
-    """The writer process run under ``-I -S`` on ``fields``; returns its standard error."""
-    args = ["-c", script] if script else []
+def writer_process(outdir, grid, fields, *args):
+    """The writer process run under ``-I -S``, after the interpreter arguments ``args``, on ``fields``."""
     records = b"".join(_snapshot_writer.RECORD.pack(k, f.values.size) + f.values.tobytes()
                        for k, f in enumerate(fields))
-    proc = subprocess.run([sys.executable, "-I", "-S", *args, _snapshot_writer.__file__, str(outdir),
+    return subprocess.run([sys.executable, "-I", "-S", *args, _snapshot_writer.__file__, str(outdir),
                            str(grid.dimension), str(grid.cells_per_axis), repr(grid.period)],
-                          input=records, capture_output=True, timeout=60, check=True)
+                          input=records, capture_output=True, timeout=60)
+
+
+def write_snapshots(outdir, grid, fields, script=None):
+    """The writer process run under ``-I -S`` on ``fields``; returns its standard error."""
+    proc = writer_process(outdir, grid, fields, *(["-c", script] if script else []))
+    proc.check_returncode()
     assert proc.stdout == b""
     return proc.stderr.decode()
 
@@ -494,6 +521,15 @@ def test_snapshot_matches_csv_writer_and_round_trips(tmp_path, dimension, cells)
             stored = [float(row["u"]) for row in csv.DictReader(fh)]
         assert np.array_equal(np.array(stored), field.values)
         assert [np.signbit(x) for x in stored] == list(np.signbit(field.values))
+
+
+def test_the_writer_exits_1_at_the_first_file_it_cannot_write(tmp_path):
+    """Its exit status is its only report: it prints nothing and writes no file after the blocked one."""
+    grid = make_grid(1, 4, 1.0)
+    (tmp_path / "snapshot_000001.csv").mkdir()
+    proc = writer_process(tmp_path, grid, [Field(grid, np.full(4, float(k))) for k in range(4)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot_000000.csv", "snapshot_000001.csv"]
 
 
 # Runs the writer module's main on the command line that ``python FILE ...`` would give it,
@@ -697,6 +733,23 @@ def test_a_run_beyond_the_step_budget_aborts_in_one_line(tmp_path, command):
     line = one_line(proc.stderr)
     assert line.startswith("solver aborted: the run needs 1.91e+200 steps of dt = 5.23")
     assert "budget" in line
+
+
+SNAPSHOT_BUDGET = ("grid.n = 1\ngrid.m = 256\ngrid.l = 1.0\nprofile.kind = box\nprofile.width = 0.3\n"
+                   "profile_b.kind = box\nprofile_b.width = 0.3\nprofile_b.height = 0.5\n"
+                   "solver.integrator = explicit_euler\nsolver.t = 0.01\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "converge"])
+@pytest.mark.parametrize("every", ["1e-12", "1e-25"])
+def test_snapshot_intervals_beyond_the_step_budget_abort_in_one_line(tmp_path, command, every):
+    """Without the budget such a run spends ~dt / snapshot_every additions per step, or never ends."""
+    proc = run_module(tmp_path, SNAPSHOT_BUDGET + f"solver.snapshot_every = {every}\n", command, timeout=60)
+    assert proc.returncode == EXIT_SOLVER
+    assert one_line(proc.stderr) == (
+        f"solver aborted: the run asks for {0.01 / float(every):.3g} snapshot intervals of {float(every):g}, "
+        "more than the budget of 1e+07")
+    assert list((tmp_path / "module_out").iterdir()) == []
 
 
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):

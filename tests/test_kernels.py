@@ -195,9 +195,15 @@ class TestConeCombine:
 
 class TestZeroKernel:
     def test_everything_vanishes(self):
-        k = make_zero_kernel()
+        k = make_zero_kernel(1)
         assert np.all(k.eval(np.linspace(-1, 1, 7), 0.5, 2.0) == 0.0)
         assert levy_constant(k, 5.0) == 0.0
+
+    def test_states_its_dimension(self):
+        with pytest.raises(ValueError, match="unsupported dimension 3"):
+            make_zero_kernel(3)
+        with pytest.raises(ValueError, match="kernel dimension 1 does not match grid dimension 2"):
+            build_context(make_grid(2, 8, 1.0), regularize(make_zero_kernel(1), 0.25), 1.0)
 
 
 class TestLevyConstant:

@@ -11,6 +11,7 @@ traced ``run`` of every ``tiny`` config in which each hook fires.
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +65,19 @@ def test_every_traced_hook_fires_on_the_tiny_run(tmp_path, name):
     expected = [h for h in spans.HOOK_NAMES if h not in spans.STEP_HOOKS] + [f"evolve.{workload.step_hook}"]
     assert spans.missing_hooks(every, expected) == []
     assert spans.applies(every) == spans.applies(traced(spans.STEP_HOOKS)) > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_layers_runs_on_the_tiny_config(tmp_path, monkeypatch, name):
+    """Each per-layer figure of the benchmark, from two timed samples per layer."""
+    config = tmp_path / "run.cfg"
+    config.write_text(workloads.WORKLOADS[name].config_text("tiny", 5), encoding="utf-8")
+    repeat, sweeps = child._repeat, child._sweeps
+    monkeypatch.setattr(child, "_repeat", lambda fn, consume, **_: repeat(fn, consume, min_n=2, budget_s=0.0, max_n=2))
+    monkeypatch.setattr(child, "_sweeps", lambda make_chunks, fn: sweeps(make_chunks, fn, n=2))
+    result = child.layers(str(config))
+    assert len(result) == 9
+    assert all(math.isfinite(value) and value > 0.0 for value in result.values()), result
 
 
 @pytest.mark.parametrize("module, attr", spans.HOOKS)
