@@ -118,14 +118,10 @@ def _report(axiom: str, kernel, samples: dict, n: int, estimate: float | None = 
     return AxiomReport(axiom, "pass" if worst <= tol else "fail", worst, tol, witness, n, estimate)
 
 
-def check_axiom_settings(R: float, epsilon: float, sample_budget: int, seed: int) -> None:
-    """Raise ``ValueError`` unless :func:`check_axioms` admits these settings."""
+def check_axiom_settings(sample_budget: int, seed: int) -> None:
+    """Raise ``ValueError`` unless :func:`check_axioms` admits this sampling budget and seed."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError("epsilon must lie in (0, 1]")
     if sample_budget < 1_000:
         raise ValueError("sample budget must be at least 1000")
 
@@ -138,7 +134,11 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
     structural for this interface (the evaluator only sees ``r``), so it
     always passes.
     """
-    check_axiom_settings(R, epsilon, sample_budget, seed)
+    check_axiom_settings(sample_budget, seed)
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError("epsilon must lie in (0, 1]")
     n = int(sample_budget)
     rng_a1, rng_a2, rng_a3, rng_a5, rng_a6, rng_probe = _rngs(seed, 6)
 

@@ -20,7 +20,16 @@ Exit codes form a small contract for CI use:
 
 Each failure prints a one-line message on stderr, never a traceback.  The
 commands raise; ``main`` maps a :class:`config.ConfigError` or an empty
-neighbourhood to exit 1 and a solver failure to exit 3.
+neighbourhood to exit 1 and a :class:`evolve.SolverAbortError` to exit 3.
+
+Every command sets up through :func:`_prepare_run`, ``validate`` too: it
+samples the admissibility conditions of the configured kernel on the range
+``[-R, R]`` that ``run`` certifies (``solver.r``, else ``max(1, sup|u0|)``
+over every configured profile) and at ``run``'s cutoff radius
+(``solver.epsilon``, else the lattice spacing).  The structural checks take
+their slacks from the run: ``compare`` allows ``2 * solver.picard_tol`` per
+step, and each monotone check of ``run`` a fixed roundoff slack times
+``max(1, the series' first value)``.
 
 All outputs are CSV files under ``--out`` (or ``output.dir``): field
 snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
@@ -66,7 +75,6 @@ from .config import (
 )
 from .diagnostics import OrderingError, check_comparison, check_contraction, check_monotone_series
 from .evolve import (
-    CflViolationError,
     SolverAbortError,
     Trajectory,
     continuation_in_epsilon,
@@ -220,8 +228,9 @@ def _witness_str(witness) -> str:
 
 def cmd_validate(args) -> int:
     cfg, outdir = _load_config(args)
-    kernel = build_kernel(cfg)
-    reports = check_axioms(kernel, R=cfg.validate.r, epsilon=cfg.validate.epsilon,
+    profiles = [cfg.profile] if cfg.profile_b is None else [cfg.profile, cfg.profile_b]
+    (ctx,), _, _ = _prepare_run(cfg, *profiles)
+    reports = check_axioms(ctx.regkernel.base, R=ctx.bound_R, epsilon=ctx.regkernel.epsilon,
                            sample_budget=cfg.validate.budget, seed=cfg.validate.seed)
     _write_csv(
         outdir / "axioms.csv",
@@ -259,15 +268,14 @@ def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig, radii: list[float] | 
     return contexts, fields, sc
 
 
-def _monotone_checks(cfg: RunConfig, traj: Trajectory):
-    s = cfg.diag
-    return [
-        check_monotone_series(traj, "l1", s.slack_norms),
-        check_monotone_series(traj, "l2", s.slack_norms),
-        check_monotone_series(traj, "linf", s.slack_norms),
-        check_monotone_series(traj, "tv", s.slack_tv),
-        check_monotone_series(traj, "bv", s.slack_tv + 2 * s.slack_norms),
-    ]
+# The slack of each monotone check for a series that starts at most at 1; above 1 it scales with
+# the series' first value, so that roundoff in large data is not a rise.  bv = 2 l1 + tv.
+_MONOTONE_SLACKS = {"l1": 1e-10, "l2": 1e-10, "linf": 1e-10, "tv": 1e-9, "bv": 1e-9 + 2e-10}
+
+
+def _monotone_checks(traj: Trajectory):
+    return [check_monotone_series(traj, quantity, slack * max(1.0, traj.series(quantity)[0]))
+            for quantity, slack in _MONOTONE_SLACKS.items()]
 
 
 def _report_checks(results) -> int:
@@ -294,15 +302,9 @@ def cmd_run(args) -> int:
             raise
         snapshots.finish(traj)
     _write_diagnostics(outdir, traj)
-    results = _monotone_checks(cfg, traj)
+    results = _monotone_checks(traj)
     _write_checks(outdir, "", results)
     return _report_checks(results)
-
-
-def _contraction_slack(cfg: RunConfig, traj: Trajectory) -> float:
-    if cfg.diag.slack_contraction is not None:
-        return cfg.diag.slack_contraction
-    return 2.0 * cfg.solver.picard_tol * max(traj.steps, 1)
 
 
 def cmd_compare(args) -> int:
@@ -313,12 +315,11 @@ def cmd_compare(args) -> int:
     traj_u = run_solver(ctx, u0, sc)
     traj_v = run_solver(ctx, v0, sc)
 
-    slack = _contraction_slack(cfg, traj_u)
+    slack = 2.0 * sc.picard_tol * max(traj_u.steps, 1)   # one Picard tolerance per step and run
     results = [check_contraction(traj_u, traj_v, slack)]
     lo, hi = (traj_v, traj_u) if np.all(v0.values <= u0.values) else (traj_u, traj_v)
-    comp_slack = cfg.diag.slack_comparison if cfg.diag.slack_comparison is not None else slack
     try:
-        results.append(check_comparison(lo, hi, comp_slack))
+        results.append(check_comparison(lo, hi, slack))
     except OrderingError:
         print("initial profiles are not ordered; comparison skipped, contraction still checked")
 
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
     except EmptyNeighborhoodError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CflViolationError, SolverAbortError) as exc:
+    except SolverAbortError as exc:
         print(f"solver aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

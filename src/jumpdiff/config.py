@@ -3,13 +3,15 @@
 The format is line-oriented UTF-8 text.  Blank lines and ``#`` comments are
 ignored; every other line must read ``section.key = value`` with dotted
 section prefixes (``grid.*``, ``kernel.*``, ``profile.*``, ``solver.*``,
-``diag.*``, ``validate.*``, ``output.*``; ``profile_b.*`` names the second
-initial condition of a comparison run).  Values are integers, finite
+``validate.*``, ``output.*``; ``profile_b.*`` names the second initial
+condition of a comparison run).  Values are integers, finite
 floats, ``true``/``false``, or strings (quoted or bare identifiers).
 The keys of a section are the fields of its dataclass (``solver.t`` is
 ``end_time``).  ``solver.*`` is :class:`evolve.SolverConfig` plus the keys
 that set up the operator contexts: ``epsilon``, ``eps_list`` and ``r``.
-``validate.seed`` seeds the axiom sampling of ``jumpdiff validate``.
+``validate.*`` is the sampling budget and seed of ``jumpdiff validate``;
+the range and cutoff radius it checks are the run's, and the slacks of the
+structural checks follow from the run too, so no key states them.
 
 A configuration is validated by building it: the grid, the sections, the
 continuation radii, the kernel regularized at each configured radius and
@@ -112,28 +114,12 @@ class SolverSection(SolverConfig):
 
 
 @dataclass(frozen=True)
-class DiagSection:
-    slack_norms: float = 1e-10
-    slack_tv: float = 1e-9
-    slack_contraction: float | None = None   # None: 2 * picard_tol * steps
-    slack_comparison: float | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            slack = getattr(self, f.name)
-            if slack is not None and slack < 0:
-                raise ValueError(f"{f.name} must be non-negative, got {slack}")
-
-
-@dataclass(frozen=True)
 class ValidateSection:
-    r: float = 1.0
-    epsilon: float = 0.1
     budget: int = 10_000
     seed: int = 0                   # of the axiom sampling; ``validate --seed`` overrides it
 
     def __post_init__(self):
-        check_axiom_settings(self.r, self.epsilon, self.budget, self.seed)
+        check_axiom_settings(self.budget, self.seed)
 
 
 @dataclass(frozen=True)
@@ -143,13 +129,12 @@ class RunConfig:
     profile: ProfileConfig = ProfileConfig()
     profile_b: ProfileConfig | None = None
     solver: SolverSection = SolverSection()
-    diag: DiagSection = DiagSection()
     validate: ValidateSection = ValidateSection()
     output_dir: str = "out"
 
 
 _SECTIONS = (("kernel", KernelConfig), ("profile", ProfileConfig), ("profile_b", ProfileConfig),
-             ("solver", SolverSection), ("diag", DiagSection), ("validate", ValidateSection))
+             ("solver", SolverSection), ("validate", ValidateSection))
 # The solver keys that set up a run's contexts; SolverConfig's constructor checks the others.
 _SET_UP_KEYS = {f.name for f in fields(SolverSection)} - {f.name for f in fields(SolverConfig)}
 
@@ -274,12 +259,11 @@ def parse_config(text: str) -> RunConfig:
 
     if cfg.solver.r is not None and cfg.solver.r <= 0:
         fail("solver.r", f"solver.r must be positive, got {cfg.solver.r}")
-    diag = built("diag", lambda: DiagSection(**sections["diag"]))
     validate = built("validate", lambda: ValidateSection(**sections["validate"]))
 
     if problems:
         raise ConfigError(problems)
-    return replace(cfg, diag=diag, validate=validate)
+    return replace(cfg, validate=validate)
 
 
 # The f kinds a family admits (its default first), and why.
@@ -302,6 +286,7 @@ _KEY_READERS = {
 
 
 def _build_f(kc: KernelConfig):
+    """The configured nonlinearity; a table reads ``kernel.f_table`` alone, a power ``kernel.m`` alone."""
     kinds, why = _F_KINDS[kc.family]
     fkind = kc.f or kinds[0]
     if fkind not in kinds:
@@ -312,9 +297,13 @@ def _build_f(kc: KernelConfig):
         points = [item.split(":") for item in kc.f_table.split(",")]
         if any(len(point) != 2 for point in points):
             raise ValueError(f"f_table must read 'x:y, x:y, ...', got {kc.f_table!r}")
-        return table_function([(float(x), float(y)) for x, y in points])
-    m = kc.m if kc.m is not None else 2.0
-    return power_odd(m) if fkind == "power_odd" else power_abs(m)
+        f = table_function([(float(x), float(y)) for x, y in points])
+    else:
+        f = (power_odd if fkind == "power_odd" else power_abs)(kc.m if kc.m is not None else 2.0)
+    unused = "m" if fkind == "table" else "f_table"
+    if getattr(kc, unused) is not None:
+        raise ValueError(f"kernel.f = {fkind} does not use kernel.{unused}")
+    return f
 
 
 def build_kernel(cfg: RunConfig) -> JumpKernel:
@@ -380,9 +369,18 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
 
 
 def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
+    """The configured profile on ``grid``.
+
+    An unset centre coordinate is the middle of the period, except that
+    ``center`` alone sets both coordinates of a 2-d centre.  ``center_y``
+    is refused on a 1-d grid.
+    """
+    if pc.center_y is not None and grid.dimension == 1:
+        raise ValueError("center_y is the y coordinate of a 2-d centre; grid.n = 1")
     center = None
-    if pc.center is not None:
-        center = (pc.center,) if grid.dimension == 1 else (pc.center, pc.center_y if pc.center_y is not None else pc.center)
+    if pc.center is not None or pc.center_y is not None:
+        x = pc.center if pc.center is not None else grid.period / 2
+        center = (x, pc.center_y if pc.center_y is not None else x)[:grid.dimension]
     return Profile(
         kind=pc.kind,
         center=center,
@@ -453,7 +451,6 @@ def serialize_config(cfg: RunConfig) -> str:
             # An all-default profile_b still has to appear to exist.
             lines.append(f"profile_b.kind = {_format_value(cfg.profile_b.kind)}")
     emit("solver", cfg.solver, SolverSection())
-    emit("diag", cfg.diag, DiagSection())
     emit("validate", cfg.validate, ValidateSection())
     if cfg.output_dir != "out":
         lines.append(f'output.dir = "{cfg.output_dir}"')

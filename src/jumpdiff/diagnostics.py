@@ -5,8 +5,8 @@ quantities of one snapshot (mass, L^p norms, total variation, extrema).
 The check functions turn the qualitative statements about the flow --
 norms decay, ordered data stay ordered, trajectories contract in L^1 --
 into deterministic pass/fail verdicts with explicit slack budgets.  Slacks
-are always arguments, never hidden constants: the natural budget for an
-implicit run is ``2 * picard_tol * steps``.
+are always arguments, never hidden constants; the ``jumpdiff`` commands
+derive them from each run (see :mod:`jumpdiff.cli`).
 
 ``weak_residual`` measures how well a trajectory satisfies the space-time
 integral identity against a bank of smooth, compactly supported test

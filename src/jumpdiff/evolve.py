@@ -50,7 +50,6 @@ from .operator import NonFiniteKernelError, OperatorContext, _apply_raw
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "CflViolationError",
     "PicardDivergedError",
     "SolverAbortError",
     "cfl_dt",
@@ -80,10 +79,6 @@ MAX_STEPS = 10**7
 ANDERSON_MEMORY = 5
 ANDERSON_MAX_COND = 1e10
 DIVERGENCE_FACTOR = 1e3
-
-
-class CflViolationError(ValueError):
-    """Explicit run requested with a dt above the CFL limit (see :func:`_step_policy`)."""
 
 
 class PicardDivergedError(RuntimeError):
@@ -443,7 +438,7 @@ def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, flo
 
     The snapshot interval defaults to ``end_time / 10``, and ``max_dt`` takes it as its fallback; only
     an explicit run or an unset dt computes ``max_dt``.  Unless ``config.cfl_override`` is set, an
-    explicit run whose first step, its longest, exceeds ``max_dt`` raises :class:`CflViolationError`,
+    explicit run whose first step, its longest, exceeds ``max_dt`` raises :class:`SolverAbortError`,
     so that it records no snapshot.
     """
     snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
@@ -453,7 +448,7 @@ def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, flo
     dt = config.dt if config.dt is not None else max_dt
     longest = min(dt, config.end_time)
     if not config.cfl_override and longest > max_dt * (1.0 + 1e-12):
-        raise CflViolationError(f"dt = {longest:g} exceeds the CFL limit {max_dt:g}")
+        raise SolverAbortError(f"dt = {longest:g} exceeds the CFL limit {max_dt:g}")
     return dt, snapshot_every
 
 
@@ -465,11 +460,10 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
     partial trajectory attached, as does a non-finite kernel value or
-    update in an explicit step.  An explicit dt above the CFL limit raises
-    :class:`CflViolationError` before the first snapshot (unless
-    ``cfl_override`` is set), and a run that needs more than ``MAX_STEPS``
-    steps of its dt, or snapshot intervals, raises :class:`SolverAbortError`
-    before the first one.
+    update in an explicit step.  An explicit dt above the CFL limit (unless
+    ``cfl_override`` is set) and a run that needs more than ``MAX_STEPS``
+    steps of its dt, or snapshot intervals, raise :class:`SolverAbortError`
+    before the first snapshot.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jumpdiff.config import (
     ConfigError,
-    DiagSection,
     KernelConfig,
     ProfileConfig,
     RunConfig,
@@ -44,11 +43,13 @@ def profiles(grid):
     """Profiles that sample on ``grid``, as parsing requires.
 
     The width fits in the period, the seed is non-negative, ``low <= high``,
-    and the mollifier is no narrower than the lattice spacing.
+    the mollifier is no narrower than the lattice spacing, and only a 2-d
+    grid has a ``center_y``.
     """
     return st.builds(
         ProfileConfig, kind=st.sampled_from(Profile._KINDS), center=maybe(numbers),
-        center_y=maybe(numbers), width=maybe(st.floats(0.0, grid.period, exclude_min=True)),
+        center_y=maybe(numbers) if grid.dimension == 2 else st.none(),
+        width=maybe(st.floats(0.0, grid.period, exclude_min=True)),
         height=numbers, base=numbers, a=numbers, b=numbers, low=numbers, high=numbers,
         seed=st.integers(0, 10**6), mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
     ).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
@@ -69,13 +70,10 @@ def solvers(grid):
     )
 
 
-diags = st.builds(DiagSection, slack_norms=positive, slack_tv=positive,
-                  slack_contraction=maybe(positive), slack_comparison=maybe(positive))
-validates = st.builds(ValidateSection, r=positive, epsilon=unit, budget=st.integers(1000, 10**6),
-                      seed=st.integers(0, 10**6))
+validates = st.builds(ValidateSection, budget=st.integers(1000, 10**6), seed=st.integers(0, 10**6))
 configs = grids.flatmap(lambda grid: st.builds(
     RunConfig, grid=st.just(grid), kernel=kernels, profile=profiles(grid),
-    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers(grid), diag=diags,
+    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers(grid),
     validate=validates, output_dir=names,
 ))
 
