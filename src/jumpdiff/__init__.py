@@ -78,7 +78,6 @@ from .operator import (
     bilinear_form,
     build_context,
     kato_functional,
-    l1_operator_bound_check,
     max_row_sum,
 )
 

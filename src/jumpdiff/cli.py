@@ -7,8 +7,10 @@ Exit codes form a small contract for CI use:
   validated, including a ``--config`` that cannot be read as UTF-8 text,
   an output directory that cannot be created, an output file that cannot
   be written (a snapshot among them, also when the solver aborted), a
-  ``compare`` config without ``profile_b.*`` and a cutoff radius
-  ``solver.epsilon`` that leaves no lattice neighbour;
+  ``compare`` config without ``profile_b.*``, a cutoff radius
+  ``solver.epsilon`` that leaves no lattice neighbour, a ``solver.r``
+  below ``sup|u0|`` and a ``profile.*`` or ``profile_b.*`` key that the
+  profile kind does not read;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, a dt or a
@@ -24,12 +26,12 @@ neighbourhood to exit 1 and a :class:`evolve.SolverAbortError` to exit 3.
 
 Every command sets up through :func:`_prepare_run`, ``validate`` too: it
 samples the admissibility conditions of the configured kernel on the range
-``[-R, R]`` that ``run`` certifies (``solver.r``, else ``max(1, sup|u0|)``
-over every configured profile) and at ``run``'s cutoff radius
-(``solver.epsilon``, else the lattice spacing).  The structural checks take
-their slacks from the run: ``compare`` allows ``2 * solver.picard_tol`` per
-step, and each monotone check of ``run`` a fixed roundoff slack times
-``max(1, the series' first value)``.
+``[-R, R]`` that ``run`` certifies (``solver.r``, which may not be below
+``sup|u0|``, else ``max(1, sup|u0|)``; over every configured profile) and
+at ``run``'s cutoff radius (``solver.epsilon``, else the lattice spacing).
+The structural checks take their slacks from the run: ``compare`` allows
+``2 * solver.picard_tol`` per step, and each monotone check of ``run`` a
+fixed roundoff slack times ``max(1, the series' first value)``.
 
 All outputs are CSV files under ``--out`` (or ``output.dir``): field
 snapshots (``i,x[,y],u``), a diagnostics stream with one row per snapshot,
@@ -255,15 +257,22 @@ def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig, radii: list[float] | 
     """Operator contexts, initial fields and solver config for ``profiles``.
 
     One context per cutoff radius of ``radii``, in its order; by default
-    the solver's ``epsilon`` alone.  Without ``solver.r`` the cutoff level
-    ``R`` covers every initial field.
+    the solver's ``epsilon`` alone.  The cutoff level ``R`` is
+    ``solver.r``, else ``max(1, sup|u0|)`` over the initial fields; a
+    ``solver.r`` below that sup norm is a :class:`ConfigError`, because the
+    solutions never leave ``[-sup|u0|, sup|u0|]`` and every bound built on
+    ``R`` assumes ``|u| <= R``.
     """
     kernel = build_kernel(cfg)
     sc = solver_config(cfg)
     fields = [_initial_field(pc, cfg.grid) for pc in profiles]
+    sup = max(float(np.max(np.abs(f.values))) for f in fields)
     R = cfg.solver.r
     if R is None:
-        R = max([1.0] + [float(np.max(np.abs(f.values))) for f in fields])
+        R = max(1.0, sup)
+    elif R < sup:
+        raise ConfigError([(None, f"solver.r = {R:g} is below the initial sup norm {sup:g}; "
+                                  "the certified bounds assume |u| <= solver.r")])
     contexts = [build_context(cfg.grid, regularize(kernel, eps), R) for eps in radii or [sc.epsilon]]
     return contexts, fields, sc
 

@@ -252,7 +252,7 @@ def parse_config(text: str) -> RunConfig:
         for label, pc in (("profile", cfg.profile), ("profile_b", cfg.profile_b)):
             if pc is None:
                 continue
-            built(label, lambda: sample_profile(build_profile(pc, grid), grid))
+            built(label, lambda: sample_profile(build_profile(pc, grid, label), grid))
             if pc.mollify is not None and pc.mollify < grid.spacing:
                 fail(f"{label}.mollify", f"{label}.mollify = {pc.mollify:g} is below the lattice spacing "
                                          f"grid.l / grid.m = {grid.spacing:g}")
@@ -282,6 +282,13 @@ _KEY_READERS = {
     "p": ("p_laplacian", "doubly_nonlinear"),
     "a1": ("variable_order",),
     "a2": ("variable_order",),
+}
+
+# The profile keys that some kinds ignore, and the kinds that read them; every kind reads ``mollify``.
+_PROFILE_KEY_READERS = {
+    **dict.fromkeys(("center", "center_y", "width", "height", "base"), ("box", "smooth_bump")),
+    **dict.fromkeys(("a", "b"), ("step", "two_level")),
+    **dict.fromkeys(("low", "high", "seed"), ("random_bv",)),
 }
 
 
@@ -368,12 +375,14 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
     return make_doubly_nonlinear(_build_f(kc), phi, mu)
 
 
-def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
-    """The configured profile on ``grid``.
+def build_profile(pc: ProfileConfig, grid: GridSpec, label: str = "profile") -> Profile:
+    """The configured profile on ``grid``; ``label`` is its section, ``profile`` or ``profile_b``.
 
     An unset centre coordinate is the middle of the period, except that
     ``center`` alone sets both coordinates of a 2-d centre.  ``center_y``
-    is refused on a 1-d grid.
+    is refused on a 1-d grid, and so is a key that the profile kind does
+    not read (:data:`_PROFILE_KEY_READERS`), counted as set when it differs
+    from its default.
     """
     if pc.center_y is not None and grid.dimension == 1:
         raise ValueError("center_y is the y coordinate of a 2-d centre; grid.n = 1")
@@ -381,7 +390,7 @@ def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
     if pc.center is not None or pc.center_y is not None:
         x = pc.center if pc.center is not None else grid.period / 2
         center = (x, pc.center_y if pc.center_y is not None else x)[:grid.dimension]
-    return Profile(
+    profile = Profile(
         kind=pc.kind,
         center=center,
         width=pc.width,
@@ -393,6 +402,11 @@ def build_profile(pc: ProfileConfig, grid: GridSpec) -> Profile:
         high=pc.high,
         seed=pc.seed,
     )
+    unused = [key for key, readers in _PROFILE_KEY_READERS.items()
+              if pc.kind not in readers and getattr(pc, key) != getattr(ProfileConfig, key)]
+    if unused:
+        raise ValueError(f"kind {pc.kind!r} does not use " + ", ".join(f"{label}.{key}" for key in unused))
+    return profile
 
 
 def solver_config(cfg: RunConfig) -> SolverSection:

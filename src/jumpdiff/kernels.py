@@ -26,9 +26,9 @@ Every built-in kernel states the radial moments of its majorant (``K_R``
 and the mass beyond the half period) in closed form: ``F(R)`` times the
 density's moment for a decoupled kernel, elementary antiderivatives of
 ``r^q`` and ``r^q log r`` for variable order, the combined moments for a
-cone combination and 0 for the zero kernel.  Only a hand-built
-:class:`JumpKernel` that states none gets adaptive quadrature; scipy is
-imported on its first use, not with this module.
+cone combination and 0 for the zero kernel.  A :class:`JumpKernel`
+cannot be built without them, so no majorant is ever integrated
+numerically.
 
 Every decoupled family also declares its pair flux (:class:`PairFlux`):
 ``(a - b) m(a, b; r) = N(F(a), F(b), a - b) mu(r)`` with a numerator that
@@ -49,7 +49,6 @@ can exceed; and it is Lipschitz in the field arguments (B2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,7 +80,6 @@ __all__ = [
     "smooth_ramp",
     "regularize",
     "levy_constant",
-    "majorant_moment",
     "lattice_majorant",
     "regular_bound_M",
 ]
@@ -96,7 +94,7 @@ _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
 
 
 class QuadratureDivergenceError(ValueError):
-    """Raised when a radial integral of a majorant diverges or its quadrature fails to converge."""
+    """Raised when a radial integral of a majorant diverges."""
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +318,18 @@ class JumpKernel:
     ``eval`` and ``majorant`` are pure, reentrant and fully vectorized over
     broadcastable array arguments; the operator module calls them from hot
     loops.  ``dim`` is the spatial dimension baked into the radial part.
-    ``moment(R, lo, hi, power)`` is the exact radial moment of the
-    majorant (:func:`majorant_moment`); every built-in constructor states
-    it, and a kernel without one is integrated by quadrature.
+    ``moment(R, lo, hi, power)`` is the exact radial moment
+    ``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` of the majorant as a
+    Python float; it is required, and a divergent integral raises
+    :class:`QuadratureDivergenceError`.
     """
 
     name: str
     dim: int
     eval_fn: Callable = field(repr=False)
     majorant_fn: Callable = field(repr=False)
+    moment: Callable = field(repr=False)
     support_radius: float | None = None
-    moment: Callable | None = field(default=None, repr=False)
 
     def eval(self, a, b, r):
         return self.eval_fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(r, dtype=float))
@@ -368,7 +367,7 @@ def _decoupled(name: str, eval_fn, scale, mu: LevyDensity, cell, numerator) -> J
         eval_fn=_FluxEval(eval_fn, PairFlux(cell, numerator, mu)),
         majorant_fn=lambda R, r: _scaled(bounded_scale(R), mu(r)),
         support_radius=mu.support_radius,
-        moment=lambda R, lo, hi, power: _scaled(bounded_scale(R), mu.radial_moment(lo, hi, power)),
+        moment=lambda R, lo, hi, power: float(_scaled(bounded_scale(R), mu.radial_moment(lo, hi, power))),
     )
 
 
@@ -611,7 +610,7 @@ def cone_combine(alpha: float, k1: JumpKernel, beta: float, k2: JumpKernel) -> J
         eval_fn=ev,
         majorant_fn=maj,
         support_radius=support,
-        moment=moment if k1.moment is not None and k2.moment is not None else None,
+        moment=moment,
     )
 
 
@@ -694,60 +693,16 @@ def regularize(kernel: JumpKernel, epsilon: float) -> RegularizedKernel:
 # ---------------------------------------------------------------------------
 
 
-def _checked_quad(f, lo, hi) -> float:
-    if hi <= lo:
-        return 0.0
-    from scipy import integrate
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, abserr = integrate.quad(f, lo, hi, limit=200)
-    messages = [str(w.message) for w in caught if issubclass(w.category, integrate.IntegrationWarning)]
-    if messages or not math.isfinite(value) or value < -1e-12:
-        raise QuadratureDivergenceError(
-            f"majorant moment quadrature on [{lo}, {hi}] did not converge"
-            + (f": {messages[0]}" if messages else f" (value {value})")
-        )
-    if abserr > max(1e-8, 1e-5 * abs(value)):
-        raise QuadratureDivergenceError(
-            f"majorant moment quadrature on [{lo}, {hi}] has unreliable error estimate {abserr:.3e} "
-            f"for value {value:.6e}"
-        )
-    return float(value)
-
-
-def majorant_moment(kernel: JumpKernel, R: float, lo: float, hi: float, power: float) -> float:
-    """Radial integral ``int_lo^hi r^power m_R(r) |S^(N-1)| r^(N-1) dr`` of the majorant.
-
-    The kernel's own exact ``moment``, which every built-in kernel states;
-    adaptive quadrature (scipy, imported on first use) up to the support
-    radius only for a hand-built kernel that states none.  A divergent
-    integral raises :class:`QuadratureDivergenceError`.
-    """
-    if kernel.moment is not None:
-        return float(kernel.moment(float(R), lo, hi, power))
-    if kernel.support_radius is not None:
-        hi = min(hi, kernel.support_radius)
-    dim = kernel.dim
-    area = _SPHERE_AREA[dim]
-
-    def integrand(r):
-        return r ** power * float(kernel.majorant(R, r)) * area * r ** (dim - 1)
-
-    return _checked_quad(integrand, lo, hi)
-
-
 def levy_constant(kernel, R: float) -> float:
     """First-moment integral ``K_R = int (1 ^ |y|) m_R(|y|) dy`` of the majorant over the whole space.
 
-    The sum of two radial integrals (:func:`majorant_moment`), split at
-    r = 1 for the weight ``1 ^ r``: exact for every built-in kernel, and by
-    adaptive quadrature (scipy, imported on first use) for a hand-built
-    kernel that states no ``moment``.  A genuinely divergent integral (e.g.
-    a power-law order smuggled past the constructors) raises
+    The sum of two exact radial moments (``kernel.moment``), split at
+    r = 1 for the weight ``1 ^ r``.  A divergent integral (e.g. a
+    power-law order smuggled past the constructors) raises
     :class:`QuadratureDivergenceError`.
     """
-    return majorant_moment(kernel, R, 0.0, 1.0, 1.0) + majorant_moment(kernel, R, 1.0, math.inf, 0.0)
+    R = float(R)
+    return kernel.moment(R, 0.0, 1.0, 1.0) + kernel.moment(R, 1.0, math.inf, 0.0)
 
 
 def lattice_majorant(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> np.ndarray:

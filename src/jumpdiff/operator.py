@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import QuadratureDivergenceError, RegularizedKernel, _ramp_in_place, levy_constant, majorant_moment
-from .lattice import Field, GridSpec, bv_norm, cutoff_mask, neighbor_windows, norm_lp, offset_distances
+from .kernels import QuadratureDivergenceError, RegularizedKernel, _ramp_in_place
+from .lattice import Field, GridSpec, cutoff_mask, neighbor_windows, offset_distances
 
 __all__ = [
     "OperatorContext",
@@ -58,7 +58,6 @@ __all__ = [
     "apply",
     "bilinear_form",
     "kato_functional",
-    "l1_operator_bound_check",
     "max_row_sum",
 ]
 
@@ -130,7 +129,7 @@ def _offset_batches(grid: GridSpec, keep: np.ndarray, half: bool) -> tuple:
 def _tail_estimate(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> float:
     """Majorant mass dropped beyond the half-period (minimal-image truncation)."""
     try:
-        return majorant_moment(regkernel.base, R, grid.period / 2.0, math.inf, 0.0)
+        return regkernel.base.moment(float(R), grid.period / 2.0, math.inf, 0.0)
     except QuadratureDivergenceError:
         return math.inf
 
@@ -338,20 +337,6 @@ def kato_functional(ctx: OperatorContext, u: Field, v: Field) -> float:
     lv = _apply_raw(ctx, v.values, v.values)
     sgn = np.sign(u.values - v.values)
     return math.fsum((lu - lv) * sgn) * ctx.grid.cell_volume
-
-
-def l1_operator_bound_check(ctx: OperatorContext, v: Field, u: Field) -> tuple[float, float]:
-    """Return ``(||L_v u||_1, K_R * ||u||_BV)`` for the context's bound R.
-
-    In the continuum the first never exceeds the second.  On the lattice
-    ``K_R`` becomes a midpoint sum, about ``1 + h / r0`` times the integral
-    for a compact bump of radius ``r0``, so the first stays within about
-    10% of the second only for a support several cells wide: on 1-d grids
-    it reaches 1.11 times at ``r0 = 6h``, 1.43 at ``2h`` and 1.88 at ``h``.
-    """
-    _check_fields(ctx, (v,), u)
-    lhs = norm_lp(apply(ctx, v, u), 1)
-    return lhs, levy_constant(ctx.regkernel.base, ctx.bound_R) * bv_norm(u)
 
 
 def max_row_sum(ctx: OperatorContext, v: Field) -> float:

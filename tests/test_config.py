@@ -11,6 +11,7 @@ from jumpdiff.config import (
     RunConfig,
     SolverSection,
     ValidateSection,
+    _PROFILE_KEY_READERS,
     parse_config,
     serialize_config,
 )
@@ -42,17 +43,21 @@ kernels = st.one_of(
 def profiles(grid):
     """Profiles that sample on ``grid``, as parsing requires.
 
-    The width fits in the period, the seed is non-negative, ``low <= high``,
-    the mollifier is no narrower than the lattice spacing, and only a 2-d
-    grid has a ``center_y``.
+    Only the keys that the kind reads are drawn; the others keep their
+    defaults.  The width fits in the period, the seed is non-negative,
+    ``low <= high``, the mollifier is no narrower than the lattice spacing,
+    and only a 2-d grid has a ``center_y``.
     """
-    return st.builds(
-        ProfileConfig, kind=st.sampled_from(Profile._KINDS), center=maybe(numbers),
-        center_y=maybe(numbers) if grid.dimension == 2 else st.none(),
+    keys = dict(
+        center=maybe(numbers), center_y=maybe(numbers) if grid.dimension == 2 else st.none(),
         width=maybe(st.floats(0.0, grid.period, exclude_min=True)),
         height=numbers, base=numbers, a=numbers, b=numbers, low=numbers, high=numbers,
         seed=st.integers(0, 10**6), mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
-    ).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
+    )
+    return st.sampled_from(Profile._KINDS).flatmap(lambda kind: st.builds(
+        ProfileConfig, kind=st.just(kind),
+        **{key: s for key, s in keys.items() if kind in _PROFILE_KEY_READERS.get(key, Profile._KINDS)},
+    )).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
 
 
 def solvers(grid):

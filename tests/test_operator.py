@@ -28,7 +28,6 @@ from jumpdiff.operator import (
     bilinear_form,
     build_context,
     kato_functional,
-    l1_operator_bound_check,
     max_row_sum,
 )
 
@@ -342,31 +341,6 @@ class TestKatoFunctional:
                 lv = apply(ctx, v, v)
                 scale = norm_lp(lu, 1) + norm_lp(lv, 1)
                 assert val >= -1e-10 * max(1.0, scale)
-
-
-class TestL1OperatorBound:
-    def test_zero_field(self):
-        g = make_grid(1, 16, 4.0)
-        ctx = build_context(g, regularize(make_fractional_heat(0.5), g.spacing), R=1.0)
-        z = Field(g, np.zeros(16))
-        lhs, rhs = l1_operator_bound_check(ctx, z, z)
-        assert lhs == 0.0 and rhs == 0.0
-
-    def test_constant_field(self):
-        g = make_grid(1, 16, 4.0)
-        ctx = build_context(g, regularize(make_fractional_heat(0.5), g.spacing), R=1.0)
-        c = Field(g, np.full(16, 0.75))
-        lhs, rhs = l1_operator_bound_check(ctx, c, c)
-        assert lhs == 0.0
-        assert rhs == pytest.approx(2 * 0.75 * 4.0 * 8.0, rel=1e-3)  # 2|c| L * K_R
-
-    @pytest.mark.parametrize("m", [32, 64, 128])
-    def test_box_data_bound_holds(self, m):
-        g = make_grid(1, m, 8.0)
-        ctx = build_context(g, regularize(make_fractional_heat(0.5), g.spacing), R=1.0)
-        u = Field(g, (np.abs(g.cell_centers()[:, 0] - 4.0) <= 1.0).astype(float))
-        lhs, rhs = l1_operator_bound_check(ctx, u, u)
-        assert lhs <= rhs * 1.1
 
 
 class TestMaxRowSum:
