@@ -168,8 +168,14 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
                          n, detail=levy_detail)
     reports.append(a5)
 
-    # A6: local Lipschitz ratio away from the diagonal, plus a diagonal
-    # continuity probe that detects ratio blow-up as |a - b| -> 0.
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite sample makes A6 inconclusive
+        reports.append(_a6(kernel, R, epsilon, n, rng_a6, rng_probe))
+    return reports
+
+
+def _a6(kernel, R: float, epsilon: float, n: int, rng_a6, rng_probe) -> AxiomReport:
+    """A6: the local Lipschitz ratio away from the diagonal, plus a diagonal
+    continuity probe that detects ratio blow-up as ``|a - b| -> 0``."""
     a, b, c = rng_a6.uniform(-R, R, size=(3, n))
     r = _sample_r(rng_a6, n)
     maj = np.asarray(kernel.majorant(R, r), dtype=float)
@@ -178,8 +184,7 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
     if np.any(keep):
         ratios = _lipschitz_ratio(kernel, a[keep], b[keep], c[keep], r[keep], np.abs(a - c)[keep], maj[keep])
         if not np.all(np.isfinite(ratios)):
-            reports.append(AxiomReport("A6", "inconclusive", math.inf, 0.0, None, n, detail="non-finite ratio"))
-            return reports
+            return AxiomReport("A6", "inconclusive", math.inf, 0.0, None, n, detail="non-finite ratio")
         c_hat = float(np.max(ratios))
 
     # Diagonal probe: track the Lipschitz ratio at pair separations
@@ -198,8 +203,7 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
         zs = [epsilon * 2.0 ** (-k) for k in range(_PROBE_DEPTH + 1)]
         ratios_k = np.array([_lipschitz_ratio(kernel, pa, pa - 2.0 * z, pa - z, pr, z, pmaj) for z in zs])
         if not np.all(np.isfinite(ratios_k)):
-            reports.append(AxiomReport("A6", "inconclusive", math.inf, 0.0, None, n, detail="non-finite probe value"))
-            return reports
+            return AxiomReport("A6", "inconclusive", math.inf, 0.0, None, n, detail="non-finite probe value")
         first_ratio = float(np.max(ratios_k[0]))
         j = int(np.argmax(ratios_k[-1]))
         last_ratio = float(ratios_k[-1][j])
@@ -208,12 +212,11 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
         wit = {"a": float(pa[j]), "b": float(pa[j] - 2 * z), "c": float(pa[j] - z),
                "r": float(pr[j]), "z": z, "R": float(R)}
     verdict = "fail" if growth > _PROBE_GROWTH_LIMIT else "pass"
-    reports.append(AxiomReport(
+    return AxiomReport(
         "A6", verdict, growth, _PROBE_GROWTH_LIMIT,
         wit if verdict == "fail" else None, n, estimate=c_hat,
         detail=f"C_hat(R,eps)={c_hat:.6g}; diagonal ratio {first_ratio:.3g} -> {last_ratio:.3g}",
-    ))
-    return reports
+    )
 
 
 def _bare_row_sums(grid: GridSpec, kernel: JumpKernel, v: np.ndarray) -> np.ndarray:

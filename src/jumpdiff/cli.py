@@ -368,6 +368,8 @@ def _keep_freed_memory() -> None:
     An operator apply reallocates ~512 KB batch temporaries; with glibc's default thresholds one 2-d
     64x64 run took 24,000-100,000 minor faults to map them back in.  A kernel's ``eval_fn`` allocates
     its own temporaries too, so a scratch workspace per operator context would not make this redundant.
+    The operator's worker thread allocates from a glibc arena of its own, which the next apply's worker
+    takes over; the same thresholds keep its freed arrays.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
     if mallopt is not None:

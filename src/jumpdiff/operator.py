@@ -36,11 +36,28 @@ difference quotient is formed.  Every other call evaluates the kernel
 kernel whose ``eval_fn`` was replaced.  A flux apply whose ``F(u)`` or
 result is not finite is redone on the eval path, which names the offending
 pair or returns the value it always gave.
+
+An apply on a large enough grid (:func:`_worker_pays`: two batches,
+``2 * _CHUNK_TARGET`` pairs, half a chunk per batch on average, and two
+usable CPUs) runs on two threads: a worker thread evaluates the
+odd-numbered batches and the calling thread the even ones.  The caller adds
+every batch's term to the Kahan sum in batch order, so the summation order
+and every bit of the result are those of one thread.  The worker runs in a
+copy of the caller's context and so under its ``np.errstate``.  An
+exception the worker raises (a :class:`NonFiniteKernelError`, say) is handed
+back in its batch's slot and raised by the caller when the sum reaches that
+batch, so it names the same first pair.  The worker is joined before the
+apply returns or raises.  :func:`bilinear_form` and :func:`max_row_sum`
+stay on one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,7 +80,12 @@ __all__ = [
 
 # Offset batches hold at most this many pairs.  At 2^16 pairs a batch's
 # temporaries stay within a core's L2 cache; 1.5 M-pair batches made a
-# 1-d M=1024 porous-medium apply about 2x slower.
+# 1-d M=1024 porous-medium apply about 2x slower.  Each thread of an apply
+# owns one scratch block of ``3 n cells + n + m`` floats (``n`` offsets of
+# the largest batch, ``m`` cells per axis), laid out ``[f | d | num | n + m
+# spare]``; ``_scatter``'s doubled buffer reuses all but ``f`` once the
+# differences and the flux numerator are spent, so two threads hold 6
+# planes per offset where one thread with separate buffers held 5.
 _CHUNK_TARGET = 65_536
 
 
@@ -177,28 +199,38 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
     )
 
 
+def _pair_weight(ctx: OperatorContext, vp: np.ndarray, v_nb: np.ndarray, b: _Batch) -> np.ndarray:
+    """``w[k, i] = m_eps(v_i, v_{i+o_k}; r_k)`` over the plane ``vp`` of cells, for the offsets of ``b``."""
+    vj = v_nb[b.row, b.cols]
+    w = ctx.regkernel.eval(vp, vj, b.r)
+    bad = ~np.isfinite(w)
+    if bad.any():
+        k, i1, i2 = np.argwhere(bad)[0]
+        raise NonFiniteKernelError(
+            f"kernel value is not finite for pair (v_i={vp[i1, i2]!r}, v_j={vj[k, i1, i2]!r}, "
+            f"r={float(b.r[k, 0, 0])!r})"
+        )
+    if b.weight is not None:
+        w *= b.weight
+    return w
+
+
 def _pair_weights(ctx: OperatorContext, v: np.ndarray):
-    """Yield ``(batch, w)``, ``w[k, i] = m_eps(v_i, v_{i+o_k}; r_k)`` over the plane of cells."""
+    """Yield ``(batch, w)`` for every batch, ``w`` as :func:`_pair_weight` gives it."""
     vp = _plane(ctx.grid, v)
     v_nb = neighbor_windows(vp)
     for b in ctx.batches:
-        vj = v_nb[b.row, b.cols]
-        w = ctx.regkernel.eval(vp, vj, b.r)
-        bad = ~np.isfinite(w)
-        if bad.any():
-            k, i1, i2 = np.argwhere(bad)[0]
-            raise NonFiniteKernelError(
-                f"kernel value is not finite for pair (v_i={vp[i1, i2]!r}, v_j={vj[k, i1, i2]!r}, "
-                f"r={float(b.r[k, 0, 0])!r})"
-            )
-        if b.weight is not None:
-            w *= b.weight
-        yield b, w
+        yield b, _pair_weight(ctx, vp, v_nb, b)
 
 
-def _doubled(ctx: OperatorContext) -> np.ndarray:
-    """Flat scratch for :func:`_scatter`: two planes and one spare value per offset of the largest batch, and ``m`` more."""
-    return np.empty(_largest_batch(ctx) * (2 * ctx.grid.n_cells + 1) + ctx.grid.cells_per_axis)
+def _scratch(ctx: OperatorContext, planes: int) -> np.ndarray:
+    """Flat scratch: ``planes`` planes per offset of the largest batch, then :func:`_scatter`'s buffer.
+
+    The buffer holds two more planes and one spare value per offset, and
+    ``m`` more values.
+    """
+    n = _largest_batch(ctx)
+    return np.empty(n * ((planes + 2) * ctx.grid.n_cells + 1) + ctx.grid.cells_per_axis)
 
 
 def _largest_batch(ctx: OperatorContext) -> int:
@@ -209,9 +241,9 @@ def _scatter(f: np.ndarray, b: _Batch, buf: np.ndarray) -> np.ndarray:
     """``sum_k f[k, j - o_k]``: the pair values of a batch moved to the far cell of each pair.
 
     Each plane ``f[k]`` is written twice, side by side along its last axis,
-    into ``buf`` (:func:`_doubled`), in rows of ``2 rows m + 1`` values.
-    Read back from column ``m - lo`` in rows one value shorter, each offset
-    starts one column further left than the one before, so
+    into ``buf`` (the tail of :func:`_scratch`), in rows of ``2 rows m + 1``
+    values.  Read back from column ``m - lo`` in rows one value shorter, each
+    offset starts one column further left than the one before, so
     ``f[k, r, j - lo - k]`` comes out at ``(k, r, j)``.  The row part of the
     offset is a roll of the sum.
     """
@@ -234,33 +266,108 @@ def _kahan_sum(terms, shape: tuple) -> np.ndarray:
     return acc
 
 
-def _eval_terms(ctx: OperatorContext, v: np.ndarray, up: np.ndarray):
-    """Per batch, ``sum_o f_i - f_{i-o}`` with ``f_i = (u_i - u_{i+o}) m_eps(v_i, v_{i+o}; r_o) h^N``."""
+def _eval_term(ctx: OperatorContext, v: np.ndarray, up: np.ndarray):
+    """``term(b, block)``: ``sum_o f_i - f_{i-o}`` over the offsets of ``b``, ``f_i = (u_i - u_{i+o}) m_eps(v_i, v_{i+o}; r_o) h^N``.
+
+    ``block`` is a thread's :func:`_scratch` with one leading plane per offset, ``f``.
+    """
     hn = ctx.grid.cell_volume
-    u_nb = neighbor_windows(up)
-    buf = _doubled(ctx)
-    for b, w in _pair_weights(ctx, v):
-        f = (up - u_nb[b.row, b.cols]) * w
-        yield (f.sum(axis=0) - _scatter(f, b, buf)) * hn
+    vp = _plane(ctx.grid, v)
+    v_nb, u_nb = neighbor_windows(vp), neighbor_windows(up)
+    size = _largest_batch(ctx) * up.size
+
+    def term(b: _Batch, block: np.ndarray) -> np.ndarray:
+        w = _pair_weight(ctx, vp, v_nb, b)
+        shape = (b.r.shape[0],) + up.shape
+        f = np.subtract(up, u_nb[b.row, b.cols], out=block[:math.prod(shape)].reshape(shape))
+        f *= w
+        return (f.sum(axis=0) - _scatter(f, b, block[size:])) * hn
+
+    return term
 
 
-def _flux_terms(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray):
-    """:func:`_eval_terms` for ``v = u`` from the pair flux ``numerator``, with ``fp = F(u)`` over the plane of cells."""
+def _flux_term(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray):
+    """:func:`_eval_term` for ``v = u`` from the pair flux ``numerator``, with ``fp = F(u)`` over the plane of cells.
+
+    The differences ``d`` and the numerator fill the head of the block's
+    :func:`_scatter` buffer, and are spent before it is written.
+    """
     hn = ctx.grid.cell_volume
     eps = ctx.regkernel.epsilon
     u_nb = neighbor_windows(up)
     f_nb = u_nb if fp is up else neighbor_windows(fp)
-    buf = _doubled(ctx)
-    d = np.empty((_largest_batch(ctx),) + up.shape)
-    ramp = np.empty_like(d)
-    num = np.empty_like(d)
-    for b in ctx.batches:
-        n = b.r.shape[0]
-        db = np.subtract(up, u_nb[b.row, b.cols], out=d[:n])
-        f = _ramp_in_place(eps, np.abs(db, out=ramp[:n]))
+    size = _largest_batch(ctx) * up.size
+
+    def term(b: _Batch, block: np.ndarray) -> np.ndarray:
+        shape = (b.r.shape[0],) + up.shape
+        f, d, num = (block[k * size:k * size + math.prod(shape)].reshape(shape) for k in range(3))
+        np.subtract(up, u_nb[b.row, b.cols], out=d)
+        _ramp_in_place(eps, np.abs(d, out=f))
         f *= b.flux_weight
-        f *= numerator(fp, f_nb[b.row, b.cols], db, num[:n])
-        yield (f.sum(axis=0) - _scatter(f, b, buf)) * hn
+        f *= numerator(fp, f_nb[b.row, b.cols], d, num)
+        return (f.sum(axis=0) - _scatter(f, b, block[size:])) * hn
+
+    return term
+
+
+def _worker_pays(ctx: OperatorContext) -> bool:
+    """Whether a worker thread takes the odd-numbered batches: a fixed rule on the geometry and the usable CPUs.
+
+    Starting the thread costs ~145 us, so an apply needs two batches and
+    ``2 * _CHUNK_TARGET`` pairs.  Every numpy call hands the interpreter
+    lock from one thread to the other, so a batch must also average half a
+    chunk.  On a 2-vCPU VM a flux apply with the worker took 60-80 % longer
+    at 13 K pairs a batch (2-d 24x24), ~10 % longer at 31 K (32x32) and
+    ~12 % less time at 44 K (36x36).
+    """
+    batches = ctx.batches
+    pairs = sum(b.r.shape[0] for b in batches) * ctx.grid.n_cells
+    if len(batches) < 2 or pairs < 2 * _CHUNK_TARGET or 2 * pairs < len(batches) * _CHUNK_TARGET:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _sum_batches(ctx: OperatorContext, term, shape: tuple) -> np.ndarray:
+    """Kahan sum of ``term(b, block)`` over ``ctx.batches`` in their order, ``block`` the thread's :func:`_scratch`.
+
+    When :func:`_worker_pays`, the worker thread hands each odd-numbered
+    batch's term, or the exception it raised, back through a queue of two.
+    """
+    batches = ctx.batches
+    block = _scratch(ctx, 1)
+    if not _worker_pays(ctx):
+        return _kahan_sum((term(b, block) for b in batches), shape)
+    handoff = queue.Queue(maxsize=2)
+    stop = threading.Event()
+
+    def work():
+        own = _scratch(ctx, 1)
+        for b in batches[1::2]:
+            if stop.is_set():
+                return
+            try:
+                handoff.put(term(b, own))
+            except BaseException as exc:   # raised by the caller at this batch's slot
+                handoff.put(exc)
+                return
+
+    def in_order():
+        for k, b in enumerate(batches):
+            item = term(b, block) if k % 2 == 0 else handoff.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+    worker.start()
+    try:
+        return _kahan_sum(in_order(), shape)
+    finally:
+        stop.set()   # the worker puts at most one more term, which the drained queue has room for
+        while not handoff.empty():
+            handoff.get_nowait()
+        worker.join()
 
 
 def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -276,10 +383,10 @@ def _apply_raw(ctx: OperatorContext, v: np.ndarray, u: np.ndarray) -> np.ndarray
     if v is u and flux is not None and np.isfinite(u).all():
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fp = up if flux.cell is None else _plane(ctx.grid, flux.cell(u))
-            acc = _kahan_sum(_flux_terms(ctx, flux.numerator, up, fp), up.shape)
+            acc = _sum_batches(ctx, _flux_term(ctx, flux.numerator, up, fp), up.shape)
         if np.isfinite(acc).all():
             return acc.ravel()
-    return _kahan_sum(_eval_terms(ctx, v, up), up.shape).ravel()
+    return _sum_batches(ctx, _eval_term(ctx, v, up), up.shape).ravel()
 
 
 def _check_fields(ctx: OperatorContext, coefficients: tuple, *others: Field) -> None:
@@ -342,6 +449,6 @@ def kato_functional(ctx: OperatorContext, u: Field, v: Field) -> float:
 def max_row_sum(ctx: OperatorContext, v: Field) -> float:
     """Largest assembled row sum ``max_i sum_j m_eps(v_i, v_j; r_ij) h^N``."""
     _check_fields(ctx, (v,))
-    buf = _doubled(ctx)
+    buf = _scratch(ctx, 0)
     rows = sum(w.sum(axis=0) + _scatter(w, b, buf) for b, w in _pair_weights(ctx, v.values))
     return float(rows.max()) * ctx.grid.cell_volume

@@ -733,6 +733,19 @@ def test_non_finite_certified_bound_aborts_in_one_line(tmp_path, capsys, amplitu
     assert one_line(capsys.readouterr().err).startswith("solver aborted: ")
 
 
+@pytest.mark.parametrize("base, changes", [
+    (SMALL_WITHOUT_M, {"kernel.family": "fractional_heat", "kernel.amplitude": "1e306"}),   # the majorant overflows
+    (SMALL, {"kernel.m": "3.5", "profile.kind": "box", "profile.height": "1e200"}),        # so does f(u) = u^3.5
+])
+def test_validate_of_an_overflowing_kernel_is_inconclusive_without_a_warning(tmp_path, capsys, base, changes):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config_text(base, changes), encoding="utf-8")
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_AXIOM
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split(":")[0] for line in out.splitlines() if ": inconclusive" in line] == ["A1", "A2", "A3", "A5", "A6"]
+
+
 def test_explicit_update_beyond_the_float_range_aborts_with_the_trajectory(tmp_path, capsys):
     text = config_text(SMALL_WITHOUT_M, {"kernel.family": "fractional_heat", "profile.kind": "random_bv",
                                "solver.integrator": "explicit_euler", "solver.cfl_override": "true",

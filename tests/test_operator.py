@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 from dataclasses import replace
 
@@ -24,6 +26,11 @@ from jumpdiff.lattice import Field, make_grid, norm_lp, shift_field, torus_dista
 from jumpdiff.operator import (
     NonFiniteKernelError,
     _apply_raw,
+    _eval_term,
+    _flux_term,
+    _kahan_sum,
+    _scratch,
+    _worker_pays,
     apply,
     bilinear_form,
     build_context,
@@ -32,6 +39,12 @@ from jumpdiff.operator import (
 )
 
 UNIT_KERNEL = make_p_laplacian(phi_power(2.0), compact_bump_density(1e9, dim=1))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that an apply on a large enough grid runs its worker thread on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def brute_force_apply(ctx, v, u):
@@ -138,12 +151,14 @@ class TestApply:
             scale = math.fsum(np.abs(out.values)) * g.cell_volume
             assert abs(math.fsum(out.values) * g.cell_volume) <= 1e-13 * max(1.0, scale)
 
-    def test_translation_equivariance_bitwise(self):
+    def test_translation_equivariance_bitwise(self, two_cpus):
         cases = [(make_grid(1, 32, 4.0), ((1,), (7,), (-3,))),
-                 (make_grid(2, 8, 4.0), ((1, 3), (5, -2), (0, 4)))]
+                 (make_grid(2, 8, 4.0), ((1, 3), (5, -2), (0, 4))),
+                 (make_grid(2, 40, 4.0), ((1, 3), (17, -2)))]   # its applies run the worker thread
         for g, shifts in cases:
             k = make_porous_medium(power_odd(2.0), power_law_density(0.5, g.dimension))
             ctx = build_context(g, regularize(k, g.spacing), R=1.0)
+            assert _worker_pays(ctx) == (g.cells_per_axis == 40)
             rng = np.random.default_rng(10)
             v = Field(g, rng.uniform(-1, 1, size=g.n_cells))
             u = Field(g, rng.uniform(-1, 1, size=g.n_cells))
@@ -229,11 +244,13 @@ class TestSelfApply:
             _apply_raw(ctx, u, u)
         assert str(via_flux.value) == str(via_eval.value)
 
-    def test_overflowing_flux_sum_returns_what_the_eval_path_does(self):
+    @pytest.mark.parametrize("m", [16, 1024])   # 1024: the applies run the worker thread
+    def test_overflowing_flux_sum_returns_what_the_eval_path_does(self, two_cpus, m):
         # f(u) and the kernel values are finite; (u_i - u_j) m overflows on every pair of unlike signs.
-        g = make_grid(1, 16, 4.0)
+        g = make_grid(1, m, 4.0)
         k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1, amplitude=1e110))
         ctx = build_context(g, regularize(k, g.spacing), R=1.0)
+        assert _worker_pays(ctx) == (m == 1024)
         u = np.where(np.arange(g.n_cells) % 3 == 0, 1e100, -1e100)
         results = []
         for v in (u.copy(), u):
@@ -243,7 +260,8 @@ class TestSelfApply:
         (via_eval, eval_warnings), (via_flux, flux_warnings) = results
         assert not np.isfinite(via_eval).all() and eval_warnings
         assert np.array_equal(via_flux, via_eval, equal_nan=True)
-        assert flux_warnings == eval_warnings
+        # The flux sum warns of nothing, from either thread; the threads' warnings interleave.
+        assert sorted(flux_warnings) == sorted(eval_warnings)
 
     def test_infinite_cell_value_returns_what_the_eval_path_does(self):
         # A table f clamps u_i = inf to a finite F(u_i): the pair flux stays finite, the eval path gives nan.
@@ -256,6 +274,63 @@ class TestSelfApply:
             via_eval, via_flux = _apply_raw(ctx, u.copy(), u), _apply_raw(ctx, u, u)
         assert not np.isfinite(via_eval).all()
         assert np.array_equal(via_flux, via_eval, equal_nan=True)
+
+
+def threaded_context(dim, m, kernel):
+    g = make_grid(dim, m, 4.0)
+    ctx = build_context(g, regularize(kernel, g.spacing), R=1.0)
+    assert _worker_pays(ctx)
+    return ctx
+
+
+def one_thread_sum(ctx, term, up):
+    """The per-batch terms of ``term`` Kahan-summed in batch order on the calling thread."""
+    block = _scratch(ctx, 1)
+    return _kahan_sum((term(b, block) for b in ctx.batches), up.shape).ravel()
+
+
+# Grids whose applies run the worker thread: 8 batches of 64 K pairs, 21 of 61 K.
+THREADED = [
+    pytest.param(1, 1024, make_porous_medium(power_odd(2.0), power_law_density(0.5, 1)), id="1d-1024-porous-medium"),
+    pytest.param(2, 40, make_fractional_heat(0.5, dim=2), id="2d-40-fractional-heat"),
+]
+
+
+class TestWorkerThread:
+    """A worker thread evaluates the odd-numbered batches; the result must not change by a bit."""
+
+    @pytest.mark.parametrize("dim, m, kernel", THREADED)
+    def test_is_bitwise_the_one_thread_sum(self, two_cpus, dim, m, kernel):
+        ctx = threaded_context(dim, m, kernel)
+        rng = np.random.default_rng(m)
+        u, v = rng.uniform(-1, 1, size=(2, ctx.grid.n_cells))
+        up = u.reshape(-1, m)
+        flux = kernel.flux
+        fp = up if flux.cell is None else flux.cell(u).reshape(up.shape)
+        threads = threading.active_count()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            via_flux = one_thread_sum(ctx, _flux_term(ctx, flux.numerator, up, fp), up)
+        assert np.array_equal(_apply_raw(ctx, u, u), via_flux)
+        assert np.array_equal(_apply_raw(ctx, v, u), one_thread_sum(ctx, _eval_term(ctx, v, up), up))
+        assert threading.active_count() == threads
+
+    # Odd batches are the worker's, even ones the caller's; one thread meets the first bad batch first.
+    @pytest.mark.parametrize("first, later", [(3, 6), (2, 5)])
+    def test_a_non_finite_pair_raises_as_one_thread_does(self, two_cpus, first, later):
+        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1))
+        batches = threaded_context(1, 1024, k).batches
+        bad = np.array([batches[first].r[5, 0, 0], batches[later].r[0, 0, 0]])
+        poisoned = replace(k, eval_fn=lambda a, b, r: np.where(np.isin(r, bad), np.inf, k.eval_fn(a, b, r)))
+        ctx = threaded_context(1, 1024, poisoned)
+        u = np.random.default_rng(4).uniform(-1, 1, size=ctx.grid.n_cells)
+        with pytest.raises(NonFiniteKernelError) as one_thread:
+            one_thread_sum(ctx, _eval_term(ctx, u, u.reshape(1, -1)), u.reshape(1, -1))
+        assert f"r={float(bad[0])!r})" in str(one_thread.value)
+        threads = threading.active_count()
+        with pytest.raises(NonFiniteKernelError) as threaded:
+            _apply_raw(ctx, u, u)
+        assert str(threaded.value) == str(one_thread.value)
+        assert threading.active_count() == threads
 
 
 class TestBilinearForm:
