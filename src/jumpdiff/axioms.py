@@ -23,7 +23,7 @@ from . import operator
 from .kernels import JumpKernel, QuadratureDivergenceError, RegularizedKernel, levy_constant, regular_bound_M
 from .lattice import Field, GridSpec, cutoff_mask, make_grid, neighbor_windows
 
-__all__ = ["AxiomReport", "check_axiom_settings", "check_axioms", "check_regular", "replay_violation"]
+__all__ = ["AxiomReport", "AxiomSampling", "check_axioms", "check_regular", "replay_violation"]
 
 # Relative tolerance separating float noise from genuine violations.
 VIOLATION_RTOL = 1e-12
@@ -118,12 +118,18 @@ def _report(axiom: str, kernel, samples: dict, n: int, estimate: float | None = 
     return AxiomReport(axiom, "pass" if worst <= tol else "fail", worst, tol, witness, n, estimate)
 
 
-def check_axiom_settings(sample_budget: int, seed: int) -> None:
-    """Raise ``ValueError`` unless :func:`check_axioms` admits this sampling budget and seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if sample_budget < 1_000:
-        raise ValueError("sample budget must be at least 1000")
+@dataclass(frozen=True)
+class AxiomSampling:
+    """The sampling budget and seed of :func:`check_axioms`: at least 1000 samples, a non-negative seed."""
+
+    budget: int = 10_000
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.budget < 1_000:
+            raise ValueError("sample budget must be at least 1000")
 
 
 def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: int = 10_000, seed: int = 0) -> list[AxiomReport]:
@@ -134,13 +140,13 @@ def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: in
     structural for this interface (the evaluator only sees ``r``), so it
     always passes.
     """
-    check_axiom_settings(sample_budget, seed)
+    sampling = AxiomSampling(sample_budget, seed)
     if R <= 0:
         raise ValueError("R must be positive")
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
-    n = int(sample_budget)
-    rng_a1, rng_a2, rng_a3, rng_a5, rng_a6, rng_probe = _rngs(seed, 6)
+    n = int(sampling.budget)
+    rng_a1, rng_a2, rng_a3, rng_a5, rng_a6, rng_probe = _rngs(sampling.seed, 6)
 
     def pairs(rng):
         """``a, b`` uniform in [-R, R] and a distance ``r``, ``n`` of each."""

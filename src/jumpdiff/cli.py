@@ -23,6 +23,8 @@ Exit codes form a small contract for CI use:
 Each failure prints a one-line message on stderr, never a traceback.  The
 commands raise; ``main`` maps a :class:`config.ConfigError` or an empty
 neighbourhood to exit 1 and a :class:`evolve.SolverAbortError` to exit 3.
+A library warning prints as one ``warning: <message>`` line on stderr and
+leaves the exit code as it is.
 
 Every command sets up through :func:`_prepare_run`, ``validate`` too: it
 samples the admissibility conditions of the configured kernel on the range
@@ -58,6 +60,7 @@ import csv
 import ctypes
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,7 +70,7 @@ from . import diagnostics
 from .axioms import check_axioms
 from .config import (
     ConfigError,
-    ProfileConfig,
+    ProfileSection,
     RunConfig,
     build_kernel,
     build_profile,
@@ -246,14 +249,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if all(r.verdict == "pass" for r in reports) else EXIT_AXIOM
 
 
-def _initial_field(pc: ProfileConfig, grid: GridSpec) -> Field:
+def _initial_field(pc: ProfileSection, grid: GridSpec) -> Field:
     u0 = sample_profile(build_profile(pc, grid), grid)
     if pc.mollify is not None:
         u0 = mollify_initial(u0, grid, pc.mollify)
     return u0
 
 
-def _prepare_run(cfg: RunConfig, *profiles: ProfileConfig, radii: list[float] | None = None):
+def _prepare_run(cfg: RunConfig, *profiles: ProfileSection, radii: list[float] | None = None):
     """Operator contexts, initial fields and solver config for ``profiles``.
 
     One context per cutoff radius of ``radii``, in its order; by default
@@ -397,17 +400,19 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, help="seed of the axiom sampling (overrides validate.seed)")
         p.set_defaults(fn=fn, seed=None)
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyNeighborhoodError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverAbortError as exc:
-        print(f"solver aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    with warnings.catch_warnings():   # the filters stay; a shown warning prints without its source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except ConfigError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_CONFIG
+        except EmptyNeighborhoodError as exc:
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SolverAbortError as exc:
+            print(f"solver aborted: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -7,11 +7,15 @@ section prefixes (``grid.*``, ``kernel.*``, ``profile.*``, ``solver.*``,
 condition of a comparison run).  Values are integers, finite
 floats, ``true``/``false``, or strings (quoted or bare identifiers).
 The keys of a section are the fields of its dataclass (``solver.t`` is
-``end_time``).  ``solver.*`` is :class:`evolve.SolverConfig` plus the keys
-that set up the operator contexts: ``epsilon``, ``eps_list`` and ``r``.
-``validate.*`` is the sampling budget and seed of ``jumpdiff validate``;
-the range and cutoff radius it checks are the run's, and the slacks of the
-structural checks follow from the run too, so no key states them.
+``end_time``, ``profile.a`` and ``profile.b`` are ``level_a`` and
+``level_b``).  ``kernel.*`` is :class:`KernelConfig`.  ``profile.*`` and
+``profile_b.*`` are :class:`lattice.Profile` plus ``mollify``.
+``solver.*`` is :class:`evolve.SolverConfig` plus the keys that set up the
+operator contexts: ``epsilon``, ``eps_list`` and ``r``.  ``validate.*`` is
+:class:`axioms.AxiomSampling`, the sampling budget and seed of
+``jumpdiff validate``; the range and cutoff radius it checks are the
+run's, and the slacks of the structural checks follow from the run too, so
+no key states them.
 
 A configuration is validated by building it: the grid, the sections, the
 continuation radii, the kernel regularized at each configured radius and
@@ -31,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .axioms import check_axiom_settings
+from .axioms import AxiomSampling
 from .evolve import SolverConfig
 from .kernels import (
     JumpKernel,
@@ -89,19 +93,10 @@ class KernelConfig:
 
 
 @dataclass(frozen=True)
-class ProfileConfig:
-    kind: str = "box"
-    center: float | None = None
-    center_y: float | None = None
-    width: float | None = None
-    height: float = 1.0
-    base: float = 0.0
-    a: float = 1.0
-    b: float = -1.0
-    low: float = 0.0
-    high: float = 1.0
-    seed: int = 0
-    mollify: float | None = None
+class ProfileSection(Profile):
+    """An initial condition and the width of the mollifier applied to it."""
+
+    mollify: float | None = None    # None: the sampled profile as it is
 
 
 @dataclass(frozen=True)
@@ -114,35 +109,26 @@ class SolverSection(SolverConfig):
 
 
 @dataclass(frozen=True)
-class ValidateSection:
-    budget: int = 10_000
-    seed: int = 0                   # of the axiom sampling; ``validate --seed`` overrides it
-
-    def __post_init__(self):
-        check_axiom_settings(self.budget, self.seed)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
     kernel: KernelConfig = KernelConfig()
-    profile: ProfileConfig = ProfileConfig()
-    profile_b: ProfileConfig | None = None
+    profile: ProfileSection = ProfileSection()
+    profile_b: ProfileSection | None = None
     solver: SolverSection = SolverSection()
-    validate: ValidateSection = ValidateSection()
+    validate: AxiomSampling = AxiomSampling()
     output_dir: str = "out"
 
 
-_SECTIONS = (("kernel", KernelConfig), ("profile", ProfileConfig), ("profile_b", ProfileConfig),
-             ("solver", SolverSection), ("validate", ValidateSection))
+_SECTIONS = (("kernel", KernelConfig), ("profile", ProfileSection), ("profile_b", ProfileSection),
+             ("solver", SolverSection), ("validate", AxiomSampling))
 # The solver keys that set up a run's contexts; SolverConfig's constructor checks the others.
 _SET_UP_KEYS = {f.name for f in fields(SolverSection)} - {f.name for f in fields(SolverConfig)}
 
 # key -> (target section, attribute, type tag).  A section's keys are its
 # dataclass fields, tagged with the first type of the annotation
 # (``float | None`` -> ``float``) and named after it, except that the
-# solver's ``end_time`` is ``solver.t``.
-_RENAMED = {"end_time": "t"}
+# solver's ``end_time`` is ``solver.t`` and a profile's ``level_a``/``level_b`` are its ``a``/``b``.
+_RENAMED = {"end_time": "t", "level_a": "a", "level_b": "b"}
 _SCHEMA: dict[str, tuple[str, str, str]] = {
     "grid.n": ("grid", "dimension", "int"),
     "grid.m": ("grid", "cells_per_axis", "int"),
@@ -231,11 +217,11 @@ def parse_config(text: str) -> RunConfig:
         grid = built("grid", lambda: make_grid(**g))
 
     solver = built("solver", lambda: SolverSection(**sections["solver"]))
+    # The keys of each configured profile section; it is built below, with the grid it samples on.
+    profiles = {label: sections[label] for label in ("profile", "profile_b") if label == "profile" or sections[label]}
     cfg = RunConfig(
         grid=grid,
         kernel=KernelConfig(**sections["kernel"]),
-        profile=ProfileConfig(**sections["profile"]),
-        profile_b=ProfileConfig(**sections["profile_b"]) if sections["profile_b"] else None,
         # Where the section's constructor failed, its set-up keys still set up the radii checked below.
         solver=solver or SolverSection(**{k: v for k, v in sections["solver"].items() if k in _SET_UP_KEYS}),
         **sections["top"],
@@ -249,21 +235,20 @@ def parse_config(text: str) -> RunConfig:
         if kernel is not None:
             # Cutoff radii of a run and of a continuation, through the regularization owning their rule.
             built("kernel", lambda: [regularize(kernel, eps) for eps in radii])
-        for label, pc in (("profile", cfg.profile), ("profile_b", cfg.profile_b)):
-            if pc is None:
-                continue
-            built(label, lambda: sample_profile(build_profile(pc, grid, label), grid))
-            if pc.mollify is not None and pc.mollify < grid.spacing:
-                fail(f"{label}.mollify", f"{label}.mollify = {pc.mollify:g} is below the lattice spacing "
+        for label, values in profiles.items():
+            built(label, lambda: sample_profile(build_profile(ProfileSection(**values), grid, label), grid))
+            mollify = values.get("mollify")
+            if mollify is not None and mollify < grid.spacing:
+                fail(f"{label}.mollify", f"{label}.mollify = {mollify:g} is below the lattice spacing "
                                          f"grid.l / grid.m = {grid.spacing:g}")
 
     if cfg.solver.r is not None and cfg.solver.r <= 0:
         fail("solver.r", f"solver.r must be positive, got {cfg.solver.r}")
-    validate = built("validate", lambda: ValidateSection(**sections["validate"]))
+    validate = built("validate", lambda: AxiomSampling(**sections["validate"]))
 
     if problems:
         raise ConfigError(problems)
-    return replace(cfg, validate=validate)
+    return replace(cfg, **{label: ProfileSection(**values) for label, values in profiles.items()}, validate=validate)
 
 
 # The f kinds a family admits (its default first), and why.
@@ -287,7 +272,7 @@ _KEY_READERS = {
 # The profile keys that some kinds ignore, and the kinds that read them; every kind reads ``mollify``.
 _PROFILE_KEY_READERS = {
     **dict.fromkeys(("center", "center_y", "width", "height", "base"), ("box", "smooth_bump")),
-    **dict.fromkeys(("a", "b"), ("step", "two_level")),
+    **dict.fromkeys(("level_a", "level_b"), ("step", "two_level")),
     **dict.fromkeys(("low", "high", "seed"), ("random_bv",)),
 }
 
@@ -375,38 +360,21 @@ def build_kernel(cfg: RunConfig) -> JumpKernel:
     return make_doubly_nonlinear(_build_f(kc), phi, mu)
 
 
-def build_profile(pc: ProfileConfig, grid: GridSpec, label: str = "profile") -> Profile:
-    """The configured profile on ``grid``; ``label`` is its section, ``profile`` or ``profile_b``.
+def build_profile(pc: ProfileSection, grid: GridSpec, label: str = "profile") -> ProfileSection:
+    """``pc`` once it sets no key that ``grid`` or its kind does not read.
 
-    An unset centre coordinate is the middle of the period, except that
-    ``center`` alone sets both coordinates of a 2-d centre.  ``center_y``
-    is refused on a 1-d grid, and so is a key that the profile kind does
-    not read (:data:`_PROFILE_KEY_READERS`), counted as set when it differs
-    from its default.
+    ``center_y`` is refused on a 1-d grid, and so is a key that the profile
+    kind does not read (:data:`_PROFILE_KEY_READERS`), counted as set when it
+    differs from its default.  ``label``, ``profile`` or ``profile_b``, names
+    the section in the message.
     """
     if pc.center_y is not None and grid.dimension == 1:
         raise ValueError("center_y is the y coordinate of a 2-d centre; grid.n = 1")
-    center = None
-    if pc.center is not None or pc.center_y is not None:
-        x = pc.center if pc.center is not None else grid.period / 2
-        center = (x, pc.center_y if pc.center_y is not None else x)[:grid.dimension]
-    profile = Profile(
-        kind=pc.kind,
-        center=center,
-        width=pc.width,
-        height=pc.height,
-        base=pc.base,
-        level_a=pc.a,
-        level_b=pc.b,
-        low=pc.low,
-        high=pc.high,
-        seed=pc.seed,
-    )
-    unused = [key for key, readers in _PROFILE_KEY_READERS.items()
-              if pc.kind not in readers and getattr(pc, key) != getattr(ProfileConfig, key)]
+    unused = [_KEYS[label, key] for key, readers in _PROFILE_KEY_READERS.items()
+              if pc.kind not in readers and getattr(pc, key) != getattr(Profile, key)]
     if unused:
-        raise ValueError(f"kind {pc.kind!r} does not use " + ", ".join(f"{label}.{key}" for key in unused))
-    return profile
+        raise ValueError(f"kind {pc.kind!r} does not use " + ", ".join(unused))
+    return pc
 
 
 def solver_config(cfg: RunConfig) -> SolverSection:
@@ -457,15 +425,15 @@ def serialize_config(cfg: RunConfig) -> str:
                 lines.append(f"{_KEYS[section, f.name]} = {_format_value(v)}")
 
     emit("kernel", cfg.kernel, KernelConfig())
-    emit("profile", cfg.profile, ProfileConfig())
+    emit("profile", cfg.profile, ProfileSection())
     if cfg.profile_b is not None:
         before = len(lines)
-        emit("profile_b", cfg.profile_b, ProfileConfig())
+        emit("profile_b", cfg.profile_b, ProfileSection())
         if len(lines) == before:
             # An all-default profile_b still has to appear to exist.
             lines.append(f"profile_b.kind = {_format_value(cfg.profile_b.kind)}")
     emit("solver", cfg.solver, SolverSection())
-    emit("validate", cfg.validate, ValidateSection())
+    emit("validate", cfg.validate, AxiomSampling())
     if cfg.output_dir != "out":
         lines.append(f'output.dir = "{cfg.output_dir}"')
     return "\n".join(lines) + "\n"

@@ -183,7 +183,7 @@ def make_test_bank(grid: GridSpec, times, count: int = 3) -> list[np.ndarray]:
     lo, hi = 0.15 * T, 0.85 * T
     bt = bump(((times - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)
     for k in range(count):
-        center = ((0.25 + 0.5 * k / max(count - 1, 1)) * L,) * grid.dimension
+        center = (0.25 + 0.5 * k / max(count - 1, 1)) * L
         radius = L / (3.0 + k)
         bx = sample_profile(Profile("smooth_bump", center=center, width=2.0 * radius), grid).values
         bank.append(bt[:, None] * bx[None, :])

@@ -93,6 +93,12 @@ DIAGONAL_REL_TOL = 1e-8
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi}
 
 
+def _check_dimension(dim) -> None:
+    """Densities and kernels exist in the dimensions of :data:`_SPHERE_AREA` alone, 1 and 2."""
+    if dim not in _SPHERE_AREA:
+        raise ValueError(f"unsupported dimension {dim}")
+
+
 class QuadratureDivergenceError(ValueError):
     """Raised when a radial integral of a majorant diverges."""
 
@@ -218,6 +224,9 @@ class LevyDensity:
     alpha: float | None = None
     r0: float | None = None
 
+    def __post_init__(self):
+        _check_dimension(self.dim)
+
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "power_law":
@@ -264,9 +273,7 @@ def power_law_density(alpha: float, dim: int, amplitude: float = 1.0) -> LevyDen
         raise ValueError(f"power-law order alpha must lie in (0, 1), got {alpha}")
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}")
-    return LevyDensity(kind="power_law", dim=int(dim), amplitude=float(amplitude), alpha=float(alpha))
+    return LevyDensity(kind="power_law", dim=dim, amplitude=float(amplitude), alpha=float(alpha))
 
 
 def compact_bump_density(r0: float, dim: int, amplitude: float = 1.0) -> LevyDensity:
@@ -275,9 +282,7 @@ def compact_bump_density(r0: float, dim: int, amplitude: float = 1.0) -> LevyDen
         raise ValueError("support radius r0 must be positive")
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}")
-    return LevyDensity(kind="compact_bump", dim=int(dim), amplitude=float(amplitude), r0=float(r0))
+    return LevyDensity(kind="compact_bump", dim=dim, amplitude=float(amplitude), r0=float(r0))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +335,9 @@ class JumpKernel:
     majorant_fn: Callable = field(repr=False)
     moment: Callable = field(repr=False)
     support_radius: float | None = None
+
+    def __post_init__(self):
+        _check_dimension(self.dim)
 
     def eval(self, a, b, r):
         return self.eval_fn(np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(r, dtype=float))
@@ -510,8 +518,6 @@ def make_variable_order(psi1, psi2, theta, A1: float, A2: float, dim: int = 1) -
     """
     if not (0.0 < A1 <= A2 < 1.0):
         raise ValueError(f"order bounds must satisfy 0 < A1 <= A2 < 1, got A1={A1}, A2={A2}")
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}")
 
     def ev(a, b, r):
         s = np.abs(a - b)
@@ -571,8 +577,6 @@ def _variable_order_moment(A1: float, A2: float, dim: int, lo: float, hi: float,
 
 def make_zero_kernel(dim: int) -> JumpKernel:
     """The trivial kernel ``m = 0`` in dimension ``dim``; the induced flow is ``u(t) = u0``."""
-    if dim not in (1, 2):
-        raise ValueError(f"unsupported dimension {dim}")
 
     def ev(a, b, r):
         return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(r)))

@@ -261,10 +261,16 @@ class Profile:
         checkerboard alternating ``level_a`` / ``level_b`` by index parity.
     random_bv
         seeded i.i.d. uniform values in ``[low, high]``.
+
+    The centre of a box or bump is ``(center, center_y)`` on a 2-d grid;
+    a 1-d grid reads ``center`` alone.  An unset coordinate is the middle of
+    the period, except that ``center`` alone sets both coordinates of a 2-d
+    centre.
     """
 
-    kind: str
-    center: tuple[float, ...] | None = None
+    kind: str = "box"
+    center: float | None = None
+    center_y: float | None = None
     width: float | None = None
     height: float = 1.0
     base: float = 0.0
@@ -305,9 +311,8 @@ def sample_profile(profile: Profile, grid: GridSpec) -> Field:
         width = profile.width if profile.width is not None else L / 4
         if width <= 0 or width > L:
             raise ValueError(f"profile width {width} must lie in (0, period]")
-        center = profile.center if profile.center is not None else (L / 2,) * grid.dimension
-        if len(center) != grid.dimension:
-            raise ValueError("profile center dimensionality does not match grid")
+        x = profile.center if profile.center is not None else L / 2
+        center = (x, profile.center_y if profile.center_y is not None else x)[:grid.dimension]
         d = _centered_offsets(grid, center)
         if profile.kind == "box":
             inside = np.all(np.abs(d) <= width / 2, axis=1)

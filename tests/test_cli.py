@@ -400,7 +400,7 @@ def test_compare_mollifies_both_profiles(tmp_path):
     with open(tmp_path / "out" / "compare.csv", newline="") as fh:
         first = list(csv.DictReader(fh))[0]
     grid = make_grid(1, 64, 1.0)
-    u0, v0 = (mollify_initial(sample_profile(Profile(kind="box", center=(c,), width=0.1), grid), grid, 0.2)
+    u0, v0 = (mollify_initial(sample_profile(Profile(kind="box", center=c, width=0.1), grid), grid, 0.2)
               for c in (0.5, 0.55))
     assert float(first["t"]) == 0.0
     assert float(first["l1_distance"]) == float(np.abs(u0.values - v0.values).sum() * grid.cell_volume)
@@ -476,7 +476,7 @@ def test_converge_mollifies_the_profile(tmp_path):
     with open(tmp_path / "out" / "cauchy.csv", newline="") as fh:
         rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
     cfg = parse_config(text)
-    u0 = mollify_initial(sample_profile(Profile(kind="box", center=(0.5,), width=0.1), cfg.grid), cfg.grid, 0.2)
+    u0 = mollify_initial(sample_profile(Profile(kind="box", center=0.5, width=0.1), cfg.grid), cfg.grid, 0.2)
     R = max(1.0, float(np.max(np.abs(u0.values))))
     contexts = [build_context(cfg.grid, regularize(build_kernel(cfg), eps), R) for eps in resolve_eps_list(cfg)]
     _, table = continuation_in_epsilon(contexts, u0, solver_config(cfg))
@@ -774,6 +774,14 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "module_out").iterdir())
     for name in files:
         assert (tmp_path / "module_out" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_library_warning_is_one_stderr_line(tmp_path, command):
+    proc = run_module(tmp_path, config_text(SMALL, {"solver.epsilon": "0.01"}), command)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert one_line(proc.stderr) == ("warning: epsilon = 0.01 is below the lattice spacing h = 0.03125; "
+                                     "the spatial cutoff removes no pairs")
 
 
 @pytest.mark.parametrize("changes", [

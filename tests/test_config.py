@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jumpdiff.axioms import AxiomSampling
 from jumpdiff.config import (
     ConfigError,
     KernelConfig,
-    ProfileConfig,
+    ProfileSection,
     RunConfig,
     SolverSection,
-    ValidateSection,
     _PROFILE_KEY_READERS,
     parse_config,
     serialize_config,
@@ -51,11 +51,11 @@ def profiles(grid):
     keys = dict(
         center=maybe(numbers), center_y=maybe(numbers) if grid.dimension == 2 else st.none(),
         width=maybe(st.floats(0.0, grid.period, exclude_min=True)),
-        height=numbers, base=numbers, a=numbers, b=numbers, low=numbers, high=numbers,
+        height=numbers, base=numbers, level_a=numbers, level_b=numbers, low=numbers, high=numbers,
         seed=st.integers(0, 10**6), mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
     )
     return st.sampled_from(Profile._KINDS).flatmap(lambda kind: st.builds(
-        ProfileConfig, kind=st.just(kind),
+        ProfileSection, kind=st.just(kind),
         **{key: s for key, s in keys.items() if kind in _PROFILE_KEY_READERS.get(key, Profile._KINDS)},
     )).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
 
@@ -75,10 +75,10 @@ def solvers(grid):
     )
 
 
-validates = st.builds(ValidateSection, budget=st.integers(1000, 10**6), seed=st.integers(0, 10**6))
+validates = st.builds(AxiomSampling, budget=st.integers(1000, 10**6), seed=st.integers(0, 10**6))
 configs = grids.flatmap(lambda grid: st.builds(
     RunConfig, grid=st.just(grid), kernel=kernels, profile=profiles(grid),
-    profile_b=st.none() | st.just(ProfileConfig()) | profiles(grid), solver=solvers(grid),
+    profile_b=st.none() | st.just(ProfileSection()) | profiles(grid), solver=solvers(grid),
     validate=validates, output_dir=names,
 ))
 
@@ -89,8 +89,8 @@ def test_serialize_parse_round_trip(cfg):
 
 
 def test_all_default_profile_b_survives_round_trip():
-    cfg = RunConfig(grid=make_grid(1, 16, 1.0), profile_b=ProfileConfig())
-    assert parse_config(serialize_config(cfg)).profile_b == ProfileConfig()
+    cfg = RunConfig(grid=make_grid(1, 16, 1.0), profile_b=ProfileSection())
+    assert parse_config(serialize_config(cfg)).profile_b == ProfileSection()
 
 
 GRID = "grid.n = 1\ngrid.m = 16\ngrid.l = 1.0\n"

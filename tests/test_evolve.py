@@ -148,7 +148,7 @@ class TestImplicitStructureOnBoxes:
 
     def test_l1_contraction_and_comparison(self, family, dt_factor):
         ctx, dt = self.case(family, dt_factor)
-        a, b = box(ctx), box(ctx, center=(0.35, 0.6), height=0.5)
+        a, b = box(ctx), box(ctx, center=0.35, center_y=0.6, height=0.5)
         hi = Field(ctx.grid, np.maximum(a.values, b.values))
         steps = 6
         traj_a, traj_b, traj_hi = (run(ctx, u0, implicit(steps, dt=dt)) for u0 in (a, b, hi))

@@ -201,6 +201,17 @@ class TestZeroKernel:
             build_context(make_grid(2, 8, 1.0), regularize(make_zero_kernel(1), 0.25), 1.0)
 
 
+@pytest.mark.parametrize("construct", [
+    lambda dim: power_law_density(0.5, dim),
+    lambda dim: compact_bump_density(0.5, dim),
+    lambda dim: make_variable_order(lambda s: 0.0 * s, lambda s: 0.0 * s, lambda r: 0.25 + 0.0 * r, 0.25, 0.5, dim),
+    make_zero_kernel,
+])
+def test_densities_and_kernels_exist_in_dimensions_1_and_2_alone(construct):
+    with pytest.raises(ValueError, match="unsupported dimension 3"):
+        construct(3)
+
+
 class TestLevyConstant:
     def test_fractional_heat_analytic_oracle(self):
         # 2 * (int_0^1 r^(-1/2) dr + int_1^inf r^(-3/2) dr) = 2 * (2 + 2) = 8

@@ -172,7 +172,7 @@ class TestShiftField:
 class TestProfiles:
     def test_box_mass_quantization(self):
         g = make_grid(1, 8, 8.0)
-        u = sample_profile(Profile(kind="box", center=(4.0,), width=2.0, height=1.0), g)
+        u = sample_profile(Profile(kind="box", center=4.0, width=2.0, height=1.0), g)
         assert set(np.unique(u.values)) <= {0.0, 1.0}
         assert abs(lattice.mass(u) - 2.0) <= g.spacing * 1.0 + 1e-12
 
@@ -197,11 +197,11 @@ class TestProfiles:
     def test_rejects_width_beyond_period(self):
         g = make_grid(1, 8, 2.0)
         with pytest.raises(ValueError):
-            sample_profile(Profile(kind="box", center=(1.0,), width=3.0), g)
+            sample_profile(Profile(kind="box", center=1.0, width=3.0), g)
 
     def test_smooth_bump_bounded_with_finite_tv(self):
         g = make_grid(2, 12, 2.0)
-        u = sample_profile(Profile(kind="smooth_bump", center=(1.0, 1.0), width=1.0, height=2.0), g)
+        u = sample_profile(Profile(kind="smooth_bump", center=1.0, center_y=1.0, width=1.0, height=2.0), g)
         assert np.all(u.values >= 0.0) and np.max(u.values) <= 2.0
         assert math.isfinite(total_variation(u))
 
@@ -209,7 +209,7 @@ class TestProfiles:
     def test_smooth_bump_far_below_spacing_is_its_base(self, width):
         # Off-center cells only; RuntimeWarnings are errors under the test settings.
         g = make_grid(1, 8, 1.0)
-        u = sample_profile(Profile(kind="smooth_bump", center=(0.0,), width=width, base=0.5), g)
+        u = sample_profile(Profile(kind="smooth_bump", center=0.0, width=width, base=0.5), g)
         assert np.all(u.values == 0.5)
 
 
