@@ -297,7 +297,7 @@ class PairFlux:
     ``cell`` is ``F``, applied once per cell (None: the identity);
     ``numerator(fa, fb, d, out)`` returns ``N`` for ``fa = F(a)``,
     ``fb = F(b)`` and ``d = a - b``, written into ``out`` unless it is ``d``
-    itself; ``mu`` is the radial density.
+    itself (``fb`` may be ``out``, elementwise); ``mu`` is the radial density.
     """
 
     cell: Callable | None = field(repr=False)
@@ -627,17 +627,24 @@ def _ramp_in_place(epsilon: float, x: np.ndarray) -> np.ndarray:
     """Overwrite the float array ``x`` with ``smooth_ramp(epsilon, x)``.
 
     ``x`` must be contiguous in memory, in any axis order (as every fresh
-    array is).  The quintic is evaluated only where ``t`` lies strictly
-    inside (0, 1); at ``t = 0`` and ``t = 1`` it is exactly 0 and 1.
+    array is).  Two comparisons sort the values: ``x <= eps/2`` gives 0 and
+    ``x >= eps`` gives 1.  Only the band left by both, ``eps/2 < x < eps``
+    and NaN, takes ``t = clip((x - eps/2) / (eps/2), 0, 1)`` and the quintic,
+    by index.  The result is bitwise that of the textbook ramp on every
+    value: with gradual underflow ``t > 0`` exactly when ``x > eps/2``, the
+    quintic is exactly 0 and 1 at ``t = 0`` and ``t = 1``, and NaN stays NaN.
     """
     half = epsilon / 2.0
-    np.subtract(x, half, out=x)
-    np.divide(x, half, out=x)
-    np.clip(x, 0.0, 1.0, out=x)
     t = x.ravel(order="K")
-    inner = np.flatnonzero((t > 0.0) & (t < 1.0))
-    ti = t[inner]
-    t[inner] = ti * ti * ti * (ti * (6.0 * ti - 15.0) + 10.0)
+    hi = np.greater_equal(t, epsilon)
+    band = np.flatnonzero(np.equal(np.less_equal(t, half), hi))   # neither comparison holds
+    tb = t[band]
+    np.copyto(t, hi)
+    if tb.size:
+        tb -= half
+        tb /= half
+        np.clip(tb, 0.0, 1.0, out=tb)
+        t[band] = tb * tb * tb * (tb * (6.0 * tb - 15.0) + 10.0)
     return x
 
 

@@ -260,7 +260,8 @@ class Profile:
     two_level
         checkerboard alternating ``level_a`` / ``level_b`` by index parity.
     random_bv
-        seeded i.i.d. uniform values in ``[low, high]``.
+        seeded i.i.d. uniform values in ``[low, high]``: ``low <= high``
+        with a finite ``high - low``, and a non-negative ``seed``.
 
     The centre of a box or bump is ``(center, center_y)`` on a 2-d grid;
     a 1-d grid reads ``center`` alone.  An unset coordinate is the middle of
@@ -285,6 +286,13 @@ class Profile:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        if self.kind == "random_bv":
+            if self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
+            if not self.low <= self.high:
+                raise ValueError(f"low must not exceed high, got low = {self.low:g}, high = {self.high:g}")
+            if math.isinf(self.high - self.low):
+                raise ValueError(f"high - low must be finite, got low = {self.low:g}, high = {self.high:g}")
 
 
 def bump(s2) -> np.ndarray:

@@ -16,7 +16,8 @@ added at ``i`` and subtracted at ``i + o`` (an offset that is its own
 negative meets its pairs from both ends and gets weight 1/2).  Neighbors
 are strided views (``lattice.neighbor_windows``), so no index array is
 built; the subtraction reads each batch from a buffer that holds every
-plane twice.  Batches of offsets are vectorized over cells and
+plane twice, and meets the row part of the offsets in two slices rather
+than a rolled copy.  Batches of offsets are vectorized over cells and
 Kahan-summed in a fixed order, so results are deterministic and commute
 bitwise with lattice shifts.  Both contributions of a pair come from one
 evaluation and are exact negations of each other by construction, which
@@ -30,25 +31,29 @@ and the Kato functional) and the kernel declares a pair flux
 the flux ``f_i = N(F(u_i), F(u_{i+o}), u_i - u_{i+o}) ramp(|u_i - u_{i+o}|) w_o``:
 ``F(u)`` is computed once per cell, ``w_o = mu(r_o)`` (halved on
 self-negative offsets) once per batch by :func:`build_context`, and no
-difference quotient is formed.  Every other call evaluates the kernel
-``m_eps`` pair by pair (the eval path): ``L_v u`` with ``v`` not ``u``,
-:func:`bilinear_form`, :func:`max_row_sum`, the entangled kernels and any
-kernel whose ``eval_fn`` was replaced.  A flux apply whose ``F(u)`` or
+difference quotient is formed.  Two comparisons give the ramp of most
+pairs, 0 or 1; only the pairs in its band ``eps/2 < |d| < eps`` take the
+quintic (:func:`kernels._ramp_in_place`).  The neighbors' ``u`` and
+``F(u)`` are copied out of their windows before they are subtracted.
+Every other call evaluates the kernel ``m_eps`` pair by pair (the eval
+path): ``L_v u`` with ``v`` not ``u``, :func:`bilinear_form`,
+:func:`max_row_sum`, the entangled kernels and any kernel whose
+``eval_fn`` was replaced.  A flux apply whose ``F(u)`` or
 result is not finite is redone on the eval path, which names the offending
 pair or returns the value it always gave.
 
 An apply on a large enough grid (:func:`_worker_pays`: two batches,
-``2 * _CHUNK_TARGET`` pairs, half a chunk per batch on average, and two
-usable CPUs) runs on two threads: a worker thread evaluates the
-odd-numbered batches and the calling thread the even ones.  The caller adds
-every batch's term to the Kahan sum in batch order, so the summation order
-and every bit of the result are those of one thread.  The worker runs in a
-copy of the caller's context and so under its ``np.errstate``.  An
-exception the worker raises (a :class:`NonFiniteKernelError`, say) is handed
-back in its batch's slot and raised by the caller when the sum reaches that
-batch, so it names the same first pair.  The worker is joined before the
-apply returns or raises.  :func:`bilinear_form` and :func:`max_row_sum`
-stay on one thread.
+``2 * _CHUNK_TARGET`` pairs, three quarters of a chunk per batch on
+average, and two usable CPUs) runs on two threads: a worker thread
+evaluates the odd-numbered batches and the calling thread the even ones.
+The caller adds every batch's term to the Kahan sum in batch order, so the
+summation order and every bit of the result are those of one thread.  The
+worker runs in a copy of the caller's context and so under its
+``np.errstate``.  An exception the worker raises (a
+:class:`NonFiniteKernelError`, say) is handed back in its batch's slot and
+raised by the caller when the sum reaches that batch, so it names the same
+first pair.  The worker is joined before the apply returns or raises.
+:func:`bilinear_form` and :func:`max_row_sum` stay on one thread.
 """
 
 from __future__ import annotations
@@ -80,12 +85,15 @@ __all__ = [
 
 # Offset batches hold at most this many pairs.  At 2^16 pairs a batch's
 # temporaries stay within a core's L2 cache; 1.5 M-pair batches made a
-# 1-d M=1024 porous-medium apply about 2x slower.  Each thread of an apply
+# 1-d M=1024 porous-medium apply about 2x slower, and 2x or 1.5x batches
+# saved 2-d time only for 6-11 % more peak memory.  Each thread of an apply
 # owns one scratch block of ``3 n cells + n + m`` floats (``n`` offsets of
 # the largest batch, ``m`` cells per axis), laid out ``[f | d | num | n + m
 # spare]``; ``_scatter``'s doubled buffer reuses all but ``f`` once the
 # differences and the flux numerator are spent, so two threads hold 6
-# planes per offset where one thread with separate buffers held 5.
+# planes per offset where one thread with separate buffers held 5.  Beyond
+# the block a flux batch allocates the ramp's two masks, one byte a pair,
+# and arrays the length of its band.
 _CHUNK_TARGET = 65_536
 
 
@@ -237,21 +245,27 @@ def _largest_batch(ctx: OperatorContext) -> int:
     return max(b.r.shape[0] for b in ctx.batches)
 
 
-def _scatter(f: np.ndarray, b: _Batch, buf: np.ndarray) -> np.ndarray:
-    """``sum_k f[k, j - o_k]``: the pair values of a batch moved to the far cell of each pair.
+def _scatter(f: np.ndarray, b: _Batch, buf: np.ndarray, combine) -> np.ndarray:
+    """``combine(sum_k f[k, j], sum_k f[k, j - o_k])``: a batch's pair values at the near and the far cell.
 
     Each plane ``f[k]`` is written twice, side by side along its last axis,
     into ``buf`` (the tail of :func:`_scratch`), in rows of ``2 rows m + 1``
     values.  Read back from column ``m - lo`` in rows one value shorter, each
     offset starts one column further left than the one before, so
     ``f[k, r, j - lo - k]`` comes out at ``(k, r, j)``.  The row part of the
-    offset is a roll of the sum.
+    offset is a roll of that sum, which ``combine`` (``np.add`` or
+    ``np.subtract``) meets in two slices instead of a rolled copy.
     """
     n, rows, m = f.shape
     lo, width = b.cols.start, 2 * rows * m
+    total = f.sum(axis=0)
     buf[:n * (width + 1)].reshape(n, width + 1)[:, :width].reshape(n, rows, 2, m)[...] = f[:, :, None, :]
     moved = buf[m - lo:m - lo + n * width].reshape(n, rows, 2 * m)[:, :, :m].sum(axis=0)
-    return moved if b.row == 0 else np.roll(moved, b.row, axis=0)
+    r = b.row
+    combine(total[r:], moved[:rows - r], out=total[r:])
+    if r:
+        combine(total[:r], moved[rows - r:], out=total[:r])
+    return total
 
 
 def _kahan_sum(terms, shape: tuple) -> np.ndarray:
@@ -281,7 +295,9 @@ def _eval_term(ctx: OperatorContext, v: np.ndarray, up: np.ndarray):
         shape = (b.r.shape[0],) + up.shape
         f = np.subtract(up, u_nb[b.row, b.cols], out=block[:math.prod(shape)].reshape(shape))
         f *= w
-        return (f.sum(axis=0) - _scatter(f, b, block[size:])) * hn
+        net = _scatter(f, b, block[size:], np.subtract)
+        net *= hn
+        return net
 
     return term
 
@@ -290,22 +306,32 @@ def _flux_term(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray):
     """:func:`_eval_term` for ``v = u`` from the pair flux ``numerator``, with ``fp = F(u)`` over the plane of cells.
 
     The differences ``d`` and the numerator fill the head of the block's
-    :func:`_scatter` buffer, and are spent before it is written.
+    :func:`_scatter` buffer, and are spent before it is written.  Each
+    neighbor window is copied into ``d`` (and its ``F(u)`` into ``num``)
+    before the subtraction: a copy reads the strided window faster than a
+    subtraction does.
     """
     hn = ctx.grid.cell_volume
     eps = ctx.regkernel.epsilon
     u_nb = neighbor_windows(up)
-    f_nb = u_nb if fp is up else neighbor_windows(fp)
+    f_nb = None if fp is up else neighbor_windows(fp)
     size = _largest_batch(ctx) * up.size
 
     def term(b: _Batch, block: np.ndarray) -> np.ndarray:
         shape = (b.r.shape[0],) + up.shape
         f, d, num = (block[k * size:k * size + math.prod(shape)].reshape(shape) for k in range(3))
-        np.subtract(up, u_nb[b.row, b.cols], out=d)
+        np.copyto(d, u_nb[b.row, b.cols])
+        np.subtract(up, d, out=d)
         _ramp_in_place(eps, np.abs(d, out=f))
         f *= b.flux_weight
-        f *= numerator(fp, f_nb[b.row, b.cols], d, num)
-        return (f.sum(axis=0) - _scatter(f, b, block[size:])) * hn
+        if f_nb is None:
+            f *= numerator(fp, u_nb[b.row, b.cols], d, num)
+        else:
+            np.copyto(num, f_nb[b.row, b.cols])
+            f *= numerator(fp, num, d, num)
+        net = _scatter(f, b, block[size:], np.subtract)
+        net *= hn
+        return net
 
     return term
 
@@ -315,14 +341,15 @@ def _worker_pays(ctx: OperatorContext) -> bool:
 
     Starting the thread costs ~145 us, so an apply needs two batches and
     ``2 * _CHUNK_TARGET`` pairs.  Every numpy call hands the interpreter
-    lock from one thread to the other, so a batch must also average half a
-    chunk.  On a 2-vCPU VM a flux apply with the worker took 60-80 % longer
-    at 13 K pairs a batch (2-d 24x24), ~10 % longer at 31 K (32x32) and
-    ~12 % less time at 44 K (36x36).
+    lock from one thread to the other, so a batch must also average three
+    quarters of a chunk.  On a 2-vCPU VM a 2-d heat flux apply with the
+    worker took ~35 % longer at 31 K pairs a batch (32x32), ~12 % longer at
+    44 K (36x36) and ~20 % longer at 43 K (44x44), and ~15 % less time at
+    55 K (48x48) and 61 K (40x40).
     """
     batches = ctx.batches
     pairs = sum(b.r.shape[0] for b in batches) * ctx.grid.n_cells
-    if len(batches) < 2 or pairs < 2 * _CHUNK_TARGET or 2 * pairs < len(batches) * _CHUNK_TARGET:
+    if len(batches) < 2 or pairs < 2 * _CHUNK_TARGET or 4 * pairs < 3 * len(batches) * _CHUNK_TARGET:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus >= 2
@@ -450,5 +477,5 @@ def max_row_sum(ctx: OperatorContext, v: Field) -> float:
     """Largest assembled row sum ``max_i sum_j m_eps(v_i, v_j; r_ij) h^N``."""
     _check_fields(ctx, (v,))
     buf = _scratch(ctx, 0)
-    rows = sum(w.sum(axis=0) + _scatter(w, b, buf) for b, w in _pair_weights(ctx, v.values))
+    rows = sum(_scatter(w, b, buf, np.add) for b, w in _pair_weights(ctx, v.values))
     return float(rows.max()) * ctx.grid.cell_volume

@@ -721,6 +721,21 @@ def test_invalid_setting_exits_config_in_one_line(tmp_path, capsys, command, cha
     assert message in line
 
 
+@pytest.mark.parametrize("command, section", [("run", "profile"), ("compare", "profile_b"), ("validate", "profile_b")])
+@pytest.mark.parametrize("changes, message", [
+    ({"seed": "-1"}, "seed must be non-negative, got -1"),
+    ({"low": "2"}, "low must not exceed high, got low = 2, high = 1"),
+    ({"low": "-1e308", "high": "1e308"}, "high - low must be finite, got low = -1e+308, high = 1e+308"),
+])
+def test_random_profile_rules_exit_config_in_one_line(tmp_path, capsys, command, section, changes, message):
+    """``lattice.Profile`` states the rules of a ``random_bv`` profile; the sampler's own errors never surface."""
+    cfg = tmp_path / "bad.cfg"
+    keys = {f"{section}.kind": "random_bv", **{f"{section}.{key}": value for key, value in changes.items()}}
+    cfg.write_text(config_text(SMALL, keys), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert one_line(capsys.readouterr().err) == f"invalid configuration (1 problem(s)): {section}: {message}"
+
+
 @pytest.mark.parametrize("amplitude", ["1e306", "1e308"])
 @pytest.mark.parametrize("command, integrator", [("run", "explicit_euler"), ("run", "backward_euler_picard"),
                                                  ("converge", "backward_euler_picard")])

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -55,9 +54,16 @@ def profiles(grid):
         seed=st.integers(0, 10**6), mollify=maybe(st.floats(1.0, 1e6).map(lambda k: k * grid.spacing)),
     )
     return st.sampled_from(Profile._KINDS).flatmap(lambda kind: st.builds(
-        ProfileSection, kind=st.just(kind),
+        ordered_section, kind=st.just(kind),
         **{key: s for key, s in keys.items() if kind in _PROFILE_KEY_READERS.get(key, Profile._KINDS)},
-    )).map(lambda pc: replace(pc, low=min(pc.low, pc.high), high=max(pc.low, pc.high)))
+    ))
+
+
+def ordered_section(**values):
+    """A ``ProfileSection`` of ``values`` with ``low`` and ``high`` in order, as its constructor requires."""
+    if "low" in values:
+        values["low"], values["high"] = sorted((values["low"], values["high"]))
+    return ProfileSection(**values)
 
 
 def solvers(grid):

@@ -424,6 +424,50 @@ class TestSmoothRamp:
             assert smooth_ramp(1.0, view).ravel().tolist() == [smooth_ramp(1.0, z) for z in view.ravel()]
 
 
+def textbook_ramp(epsilon, x):
+    """The ramp as its formula reads: subtract, divide, clip, then the quintic where ``0 < t < 1``."""
+    half = epsilon / 2.0
+    with np.errstate(over="ignore"):   # a value near the float range overflows the division, to t = inf
+        t = np.clip((np.asarray(x, dtype=float) - half) / half, 0.0, 1.0)
+    return np.where((t > 0.0) & (t < 1.0), t * t * t * (t * (6.0 * t - 15.0) + 10.0), t)
+
+
+def ramp_probes(epsilon):
+    """0, eps/2 and eps with their neighbouring floats, points of the band, subnormals, infinities and NaNs."""
+    knots = np.array([0.0, epsilon / 2.0, epsilon])
+    below, above = np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)
+    band = epsilon * np.linspace(0.5, 1.0, 33)
+    tiny = np.array([5e-324, 1e-323, 2.5e-320, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0)])
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1.0])
+    return np.concatenate([knots, below, above, band, tiny, -tiny, special])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 1 / 64, 1 / 256, 1 / 1024])
+class TestRampOracle:
+    """The ramp sorts each value by two comparisons; every bit must be the textbook ramp's."""
+
+    def test_knots_neighbours_subnormals_infinities_and_nans(self, epsilon):
+        x = ramp_probes(epsilon)
+        assert same_bits(smooth_ramp(epsilon, x), textbook_ramp(epsilon, x))
+
+    def test_zero_dimensional_arrays(self, epsilon):
+        for z in ramp_probes(epsilon):
+            assert same_bits(smooth_ramp(epsilon, np.array(z)), textbook_ramp(epsilon, z))
+
+    def test_three_dimensional_arrays_and_views(self, epsilon):
+        rng = np.random.default_rng(24)
+        x = rng.permutation(np.resize(ramp_probes(epsilon), 6 * 8 * 10)).reshape(6, 8, 10)
+        spread = rng.random(x.shape) < 0.5
+        x[spread] = rng.uniform(0.0, 1.5 * epsilon, size=np.count_nonzero(spread))
+        for view in (x, x.transpose(2, 0, 1), x[:, ::2, ::-1], x[1::2, :, 3], x.T[::3]):
+            assert same_bits(smooth_ramp(epsilon, view), textbook_ramp(epsilon, view))
+
+
 class TestPairFlux:
     def test_decoupled_families_declare_one_and_entangled_kernels_none(self):
         mu = power_law_density(0.5, 1)

@@ -22,7 +22,7 @@ from jumpdiff.kernels import (
     regularize,
     table_function,
 )
-from jumpdiff.lattice import Field, make_grid, norm_lp, shift_field, torus_distance
+from jumpdiff.lattice import Field, make_grid, norm_lp, offset_distances, shift_field, torus_distance
 from jumpdiff.operator import (
     NonFiniteKernelError,
     _apply_raw,
@@ -331,6 +331,54 @@ class TestWorkerThread:
             _apply_raw(ctx, u, u)
         assert str(threaded.value) == str(one_thread.value)
         assert threading.active_count() == threads
+
+
+def row_oracle_apply(ctx, u):
+    """``L_u u`` row by row: every pair of a cell evaluated by the regularized kernel at once, summed exactly."""
+    g, reg = ctx.grid, ctx.regkernel
+    dist = offset_distances(g).reshape(g.shape)
+    out = np.empty(g.n_cells)
+    for i, index in enumerate(np.ndindex(g.shape)):
+        r = np.roll(dist, index, axis=tuple(range(g.dimension))).ravel()   # r[j] = |x_j - x_i| on the torus
+        keep = r >= reg.epsilon
+        out[i] = math.fsum((u[i] - u[keep]) * reg.eval(u[i], u[keep], r[keep])) * g.cell_volume
+    return out
+
+
+@pytest.fixture(params=[1, 2], ids=["one-thread", "worker"])
+def cpus(request, monkeypatch):
+    """One usable CPU, or two, so that an apply on a large enough grid runs its worker thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    return request.param
+
+
+class TestFluxBand:
+    """Batches whose pairs all skip the ramp's band, and batches whose differing pairs all lie in it."""
+
+    @pytest.mark.parametrize("jump", [1.0, 0.7], ids=["no-pair-in-band", "every-pair-in-band"])
+    @pytest.mark.parametrize("dim, m, kernel", THREADED)
+    def test_box_matches_the_oracle_and_the_one_thread_sum(self, cpus, jump, dim, m, kernel):
+        g = make_grid(dim, m, 4.0)
+        ctx = build_context(g, regularize(kernel, g.spacing), R=1.0)
+        eps = ctx.regkernel.epsilon
+        # A box of height jump (1.0 >= eps) or jump * eps (in (eps/2, eps)); pairs across its edge differ by it.
+        height = jump if jump >= 1.0 else jump * eps
+        centers = (np.arange(m) + 0.5) / m
+        inside = np.abs(centers - np.round(centers)) < 0.2   # across the wrap, on every axis
+        box = inside if dim == 1 else inside[:, None] & inside[None, :]
+        u = np.where(box, height, 0.0).ravel()
+        in_band = eps / 2 < height < eps   # height is the only non-zero |u_i - u_j|
+        assert in_band == (jump < 1.0) and (in_band or height >= eps)
+        flux = kernel.flux
+        up = u.reshape(-1, m)
+        fp = up if flux.cell is None else flux.cell(u).reshape(up.shape)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            one_thread = one_thread_sum(ctx, _flux_term(ctx, flux.numerator, up, fp), up)
+        got = _apply_raw(ctx, u, u)
+        assert _worker_pays(ctx) == (cpus == 2)
+        assert np.array_equal(got, one_thread)
+        want = row_oracle_apply(ctx, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 class TestBilinearForm:
