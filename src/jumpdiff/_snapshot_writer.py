@@ -3,14 +3,15 @@
     python -I -S _snapshot_writer.py OUTDIR DIMENSION CELLS PERIOD
 
 ``jumpdiff.cli`` starts this file as a process of its own while the solver
-steps.  Each record on standard input is a ``RECORD`` header, the snapshot
-index and the number of cells, followed by that many native float64
-values; each becomes ``OUTDIR/snapshot_<index>.csv`` with ``i,x[,y],u``
-rows.  The exit status is all the process reports: 0 once standard input
-ends with every record written, 1 at the first file that cannot be
-written, after which it writes no further file.  It prints nothing.
+steps, for a long snapshot stream.  Each record on standard input is a
+``RECORD`` header, the snapshot index and the number of cells, followed by
+that many native float64 values; each becomes
+``OUTDIR/snapshot_<index>.csv`` with ``i,x[,y],u`` rows.  The exit status
+is all the process reports: 0 once standard input ends with every record
+written, 1 at the first file that cannot be written, after which it
+writes no further file.  It prints nothing.
 ``cli`` calls :func:`write` in its own process for a trajectory that no
-process wrote.
+process wrote, a short stream's among them.
 
 The module imports the standard library alone, so the process starts
 without numpy or ``jumpdiff``.  The ``u`` cells are ``%.17g`` and the

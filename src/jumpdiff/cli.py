@@ -41,10 +41,12 @@ one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs produce byte-identical outputs.  ``--seed``
 (overriding ``validate.seed``) is ``validate``'s alone: only axiom sampling reads it.
-``run`` streams its snapshots to a writer process (``_snapshot_writer``)
-while the solver steps and waits for it to exit.  Where no process starts,
-or one does not exit 0, ``run`` writes every snapshot in its own process
-once the solver stops.  ``diagnostics.csv`` and ``checks.csv`` follow.
+``run`` plans its snapshot stream before the first step.  A stream of more
+than 131,072 rows (files times cells) goes to a writer process
+(``_snapshot_writer``) while the solver steps, and ``run`` waits for it to
+exit.  ``run`` writes every snapshot in its own process once the solver
+stops when the stream is shorter, when no process starts, or when one does
+not exit 0.  ``diagnostics.csv`` and ``checks.csv`` follow.
 Snapshots are written in order up to the first one that cannot be written,
 and then neither later snapshots nor those two files are written.  A row
 template built once per grid gives each file in one string operation; the
@@ -58,6 +60,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import math
 import os
 import sys
 import warnings
@@ -80,15 +83,18 @@ from .config import (
 )
 from .diagnostics import OrderingError, check_comparison, check_contraction, check_monotone_series
 from .evolve import (
+    MAX_STEPS,
     SolverAbortError,
+    SolverConfig,
     Trajectory,
+    _step_policy,
     continuation_in_epsilon,
     mollify_initial,
     run as run_solver,
 )
 from .kernels import regularize
 from .lattice import Field, GridSpec, sample_profile
-from .operator import EmptyNeighborhoodError, build_context
+from .operator import EmptyNeighborhoodError, OperatorContext, build_context
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,26 +125,71 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 class _SnapshotStream:
-    """The snapshot files of one ``run``, written by a writer process while the solver steps.
+    """The snapshot files of one ``run``, written by a writer process while the solver steps if that pays.
+
+    A process starts only for a planned stream (:meth:`planned_files`) of
+    more than ``MAX_ROWS`` = 131,072 rows, files times cells (:meth:`pays`).
+    Every shorter stream is written in this process once the solver stops.
+    The process costs an interpreter start and a pipe copy of each field,
+    and pays only where the solver leaves it the time to overlap the
+    writing.  Alternated pairs of whole ``jumpdiff run`` processes on a
+    2-vCPU VM, 10 pairs a stream:
+
+    * 1-d: in-process was faster with 21 to 625 snapshots of 256 cells,
+      200 of 32, 257 of 512, 33 to 101 of 1,024 and 65 of 2,048 cells, in 9
+      or 10 pairs (7 at 513 of 256 cells).
+    * 2-d: the writer was faster with 33 and 129 snapshots of 32x32 cells
+      and 257 and 513 of 16x16 cells, in 8 to 10 pairs.  At 64x64, where
+      the operator's worker thread takes the second CPU, neither was faster
+      in 8 pairs or more.
+
+    Where the writer pays is not settled.  For 625 snapshots of 256 cells
+    (the benchmark's ``heat1d_snapshots``) the benchmark's own alternated
+    runs favour the writer, in 9 pairs of 10 (0.44 against 0.57 s), while
+    the pairs above favour in-process.  So only the longest streams keep
+    it: more than 512 snapshots of 256 cells, or as many rows.
 
     The process runs ``_snapshot_writer.py`` under ``-I -S``, started by
     ``os.posix_spawn``, and :meth:`send`, the solver's ``on_snapshot``, hands
     it each field over a pipe.  Its exit status is all it reports: 0 once it
     has written every field it was sent, 1 at the first file it cannot write.
     :meth:`finish` writes the trajectory in this process whenever no process
-    exited 0.  :meth:`close` ends the process; a caller closes the stream on
-    every path, so that no process outlives it.
+    exited 0, and so every snapshot of a stream that started none.
+    :meth:`close` ends the process; a caller closes the stream on every
+    path, so that no process outlives it.
     """
 
-    def __init__(self, outdir: Path, grid: GridSpec):
+    MAX_ROWS = 131_072
+
+    def __init__(self, outdir: Path, ctx: OperatorContext, config: SolverConfig):
         from . import _snapshot_writer
 
+        grid = ctx.grid
         self.module = _snapshot_writer
         self.args = (str(outdir), grid.dimension, grid.cells_per_axis, grid.period)
         self.pid = self.fd = self.exit_status = None
-        # No os.posix_spawn, no sys.executable or no process: finish writes every snapshot.
-        with contextlib.suppress(AttributeError, OSError, TypeError):
-            self._spawn()
+        if self.pays(self.planned_files(ctx, config), grid.n_cells):
+            # No os.posix_spawn, no sys.executable or no process: finish writes every snapshot.
+            with contextlib.suppress(AttributeError, OSError, TypeError):
+                self._spawn()
+
+    @classmethod
+    def pays(cls, files: int, cells: int) -> bool:
+        """Whether a stream of ``files`` snapshots of ``cells`` cells starts a writer process."""
+        return files * cells > cls.MAX_ROWS
+
+    @staticmethod
+    def planned_files(ctx: OperatorContext, config: SolverConfig) -> int:
+        """The snapshot files a run plans, ``1 + min(ceil(T / snapshot_every), ceil(T / dt))``.
+
+        A run records ``u0`` and at most one snapshot per step and per
+        interval, with dt and the interval of :func:`evolve._step_policy`.
+        A run of more than ``evolve.MAX_STEPS`` steps or intervals aborts
+        before its first snapshot, so the count stops there.
+        """
+        dt, snapshot_every = _step_policy(ctx, config)
+        T = config.end_time
+        return 1 + math.ceil(min(T / snapshot_every, T / dt, MAX_STEPS))
 
     def _spawn(self) -> None:
         data_r, data_w = os.pipe()
@@ -304,7 +355,7 @@ def _report_checks(results) -> int:
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
     (ctx,), (u0,), sc = _prepare_run(cfg, cfg.profile)
-    with contextlib.closing(_SnapshotStream(outdir, cfg.grid)) as snapshots:
+    with contextlib.closing(_SnapshotStream(outdir, ctx, sc)) as snapshots:
         try:
             traj = run_solver(ctx, u0, sc, on_snapshot=snapshots.send)
         except SolverAbortError as exc:

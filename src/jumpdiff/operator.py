@@ -42,7 +42,7 @@ path): ``L_v u`` with ``v`` not ``u``, :func:`bilinear_form`,
 result is not finite is redone on the eval path, which names the offending
 pair or returns the value it always gave.
 
-An apply on a large enough grid (:func:`_worker_pays`: two batches,
+An apply on a large enough 2-d grid (:func:`_worker_pays`: two batches,
 ``2 * _CHUNK_TARGET`` pairs, three quarters of a chunk per batch on
 average, and two usable CPUs) runs on two threads: a worker thread
 evaluates the odd-numbered batches and the calling thread the even ones.
@@ -339,6 +339,12 @@ def _flux_term(ctx: OperatorContext, numerator, up: np.ndarray, fp: np.ndarray):
 def _worker_pays(ctx: OperatorContext) -> bool:
     """Whether a worker thread takes the odd-numbered batches: a fixed rule on the geometry and the usable CPUs.
 
+    A 1-d apply stays on one thread.  In whole 1-d porous-medium runs on a
+    2-vCPU VM, with no snapshot writer process on the second CPU, the run
+    without the worker was faster in 20 and 18 of 20 alternated pairs at
+    M = 1024 (106 against 124 ms, 124 against 136 ms), 20 of 20 at 2048,
+    and 18 and 19 of 20 at 4096.
+
     Starting the thread costs ~145 us, so an apply needs two batches and
     ``2 * _CHUNK_TARGET`` pairs.  Every numpy call hands the interpreter
     lock from one thread to the other, so a batch must also average three
@@ -347,6 +353,8 @@ def _worker_pays(ctx: OperatorContext) -> bool:
     44 K (36x36) and ~20 % longer at 43 K (44x44), and ~15 % less time at
     55 K (48x48) and 61 K (40x40).
     """
+    if ctx.grid.dimension == 1:
+        return False
     batches = ctx.batches
     pairs = sum(b.r.shape[0] for b in batches) * ctx.grid.n_cells
     if len(batches) < 2 or pairs < 2 * _CHUNK_TARGET or 4 * pairs < 3 * len(batches) * _CHUNK_TARGET:

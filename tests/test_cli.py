@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpdiff
-from jumpdiff import _snapshot_writer
+from jumpdiff import _snapshot_writer, cli
 from jumpdiff.axioms import check_axioms
 from jumpdiff.cli import EXIT_AXIOM, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from jumpdiff.config import (
@@ -140,7 +140,7 @@ def test_a_failed_snapshot_write_of_an_aborted_run_exits_config(tmp_path, capsys
 
 
 def test_a_later_snapshot_that_cannot_be_written_exits_config(tmp_path, capsys):
-    """The writer stops at that file: the earlier snapshots stay, and neither later ones nor diagnostics follow."""
+    """The writing stops at that file: the earlier snapshots stay, and neither later ones nor diagnostics follow."""
     blocked = tmp_path / "out" / "snapshot_000002.csv"
     blocked.mkdir(parents=True)
     assert run_cli(tmp_path, IMPLICIT) == EXIT_CONFIG
@@ -161,10 +161,40 @@ def no_process(*args, **kwargs):
     raise OSError("no process")
 
 
+def no_spawn(*args, **kwargs):
+    pytest.fail("a run whose planned stream is short started a writer process")
+
+
+def through_the_writer(monkeypatch):
+    """Have every planned stream start a writer process; the ``argv`` of each ``os.posix_spawn`` call is kept."""
+    monkeypatch.setattr(cli._SnapshotStream, "MAX_ROWS", 0)
+    calls, spawn = [], os.posix_spawn
+
+    def spawned(path, argv, *args, **kwargs):
+        calls.append(argv)
+        return spawn(path, argv, *args, **kwargs)
+
+    monkeypatch.setattr(os, "posix_spawn", spawned)
+    return calls
+
+
+def test_a_short_stream_starts_no_process_and_writes_the_same_files(tmp_path, monkeypatch):
+    """IMPLICIT plans 5 snapshots of 32 cells: this process writes them, the bytes a writer process writes."""
+    with monkeypatch.context() as patch:
+        spawned = through_the_writer(patch)
+        expected = run_outputs(tmp_path, "process")
+    assert [argv[3] for argv in spawned] == [_snapshot_writer.__file__]
+    monkeypatch.setattr(os, "posix_spawn", no_spawn)
+    assert run_outputs(tmp_path, "in_process") == expected
+    assert len(expected) == 7
+
+
 @pytest.mark.parametrize("patch", ["raise", "missing", "no_executable", "writer_exits"])
 def test_snapshots_without_a_writer_process_are_the_same_files(tmp_path, monkeypatch, patch):
     """Where no writer process starts, or one exits without writing or reporting, this process writes them."""
+    spawned = through_the_writer(monkeypatch)
     expected = run_outputs(tmp_path, "process")
+    assert len(spawned) == 1
     if patch == "raise":
         monkeypatch.setattr(os, "posix_spawn", no_process)
     elif patch == "missing":
@@ -177,20 +207,53 @@ def test_snapshots_without_a_writer_process_are_the_same_files(tmp_path, monkeyp
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("case", ["success", "blocked", "abort", "no_process"])
-def test_run_leaves_no_file_descriptor_open(tmp_path, monkeypatch, case):
+@pytest.mark.parametrize("case, stream", [
+    *(pytest.param(case, "writer", id=case) for case in ("success", "blocked", "abort", "no_process")),
+    *(pytest.param(case, "in_process", id=f"{case}-in-process") for case in ("success", "blocked", "abort")),
+])
+def test_run_leaves_no_file_descriptor_open(tmp_path, monkeypatch, case, stream):
     text, code = IMPLICIT, EXIT_OK
     if case == "blocked":
         (tmp_path / "out" / "snapshot_000002.csv").mkdir(parents=True)
         code = EXIT_CONFIG
     elif case == "abort":
         text, code = sup_norm_abort(), EXIT_SOLVER
-    elif case == "no_process":
+    spawned = through_the_writer(monkeypatch) if stream == "writer" else []
+    if case == "no_process":
         monkeypatch.setattr(os, "posix_spawn", no_process)
+    elif stream == "in_process":   # IMPLICIT and the aborted run plan a short stream
+        monkeypatch.setattr(os, "posix_spawn", no_spawn)
     before = sorted(os.listdir("/proc/self/fd"))
     assert run_cli(tmp_path, text) == code
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_process()
+    assert len(spawned) == (stream == "writer" and case != "no_process")
+
+
+@pytest.mark.parametrize("files, cells, pays", [
+    (1, 131_072, False), (1, 131_073, True), (512, 256, False), (513, 256, True),
+    (32, 4096, False), (33, 4096, True), (131_072, 1, False), (131_073, 1, True),
+])
+def test_a_writer_process_pays_only_above_the_row_threshold(files, cells, pays):
+    assert cli._SnapshotStream.MAX_ROWS == 131_072
+    assert cli._SnapshotStream.pays(files, cells) is pays
+
+
+SHORT_RUN = IMPLICIT.replace("solver.t = 0.02\nsolver.snapshot_every = 0.005\n", "")
+
+
+@pytest.mark.parametrize("solver", [
+    "solver.t = 0.02\nsolver.snapshot_every = 0.005\n",                   # IMPLICIT: one interval a snapshot
+    "solver.t = 0.02\nsolver.snapshot_every = 0.0025\nsolver.dt = 0.004\n",   # one step a snapshot
+    "solver.t = 0.02\nsolver.snapshot_every = 0.003\nsolver.dt = 0.0007\n",   # intervals no multiple of dt
+    "solver.t = 0.1\nsolver.snapshot_every = 1e-6\nsolver.integrator = explicit_euler\n",   # CFL steps
+])
+def test_the_planned_stream_is_the_files_the_run_writes(tmp_path, solver):
+    cfg = parse_config(SHORT_RUN + solver)
+    (ctx,), _, sc = cli._prepare_run(cfg, cfg.profile)
+    assert run_cli(tmp_path, SHORT_RUN + solver) == EXIT_OK
+    written = [p for p in (tmp_path / "out").iterdir() if p.name.startswith("snapshot_")]
+    assert cli._SnapshotStream.planned_files(ctx, sc) == len(written)
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)

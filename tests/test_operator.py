@@ -244,13 +244,14 @@ class TestSelfApply:
             _apply_raw(ctx, u, u)
         assert str(via_flux.value) == str(via_eval.value)
 
-    @pytest.mark.parametrize("m", [16, 1024])   # 1024: the applies run the worker thread
-    def test_overflowing_flux_sum_returns_what_the_eval_path_does(self, two_cpus, m):
+    @pytest.mark.parametrize("dim, m", [pytest.param(1, 16, id="16"), pytest.param(1, 1024, id="1024"),
+                                        pytest.param(2, 40, id="2d-40")])   # 2d-40: the applies run the worker
+    def test_overflowing_flux_sum_returns_what_the_eval_path_does(self, two_cpus, dim, m):
         # f(u) and the kernel values are finite; (u_i - u_j) m overflows on every pair of unlike signs.
-        g = make_grid(1, m, 4.0)
-        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1, amplitude=1e110))
+        g = make_grid(dim, m, 4.0)
+        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, dim, amplitude=1e110))
         ctx = build_context(g, regularize(k, g.spacing), R=1.0)
-        assert _worker_pays(ctx) == (m == 1024)
+        assert _worker_pays(ctx) == (dim == 2)
         u = np.where(np.arange(g.n_cells) % 3 == 0, 1e100, -1e100)
         results = []
         for v in (u.copy(), u):
@@ -289,11 +290,17 @@ def one_thread_sum(ctx, term, up):
     return _kahan_sum((term(b, block) for b in ctx.batches), up.shape).ravel()
 
 
-# Grids whose applies run the worker thread: 8 batches of 64 K pairs, 21 of 61 K.
+# Grids whose applies run the worker thread: 21 batches of 61 K pairs.
 THREADED = [
-    pytest.param(1, 1024, make_porous_medium(power_odd(2.0), power_law_density(0.5, 1)), id="1d-1024-porous-medium"),
+    pytest.param(2, 40, make_porous_medium(power_odd(2.0), power_law_density(0.5, 2)), id="2d-40-porous-medium"),
     pytest.param(2, 40, make_fractional_heat(0.5, dim=2), id="2d-40-fractional-heat"),
 ]
+
+
+def unseen_distance(batches, k):
+    """A torus distance of batch ``k`` that no earlier batch holds."""
+    seen = {float(r) for b in batches[:k] for r in b.r.ravel()}
+    return next(float(r) for r in batches[k].r.ravel() if float(r) not in seen)
 
 
 class TestWorkerThread:
@@ -317,14 +324,14 @@ class TestWorkerThread:
     # Odd batches are the worker's, even ones the caller's; one thread meets the first bad batch first.
     @pytest.mark.parametrize("first, later", [(3, 6), (2, 5)])
     def test_a_non_finite_pair_raises_as_one_thread_does(self, two_cpus, first, later):
-        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 1))
-        batches = threaded_context(1, 1024, k).batches
-        bad = np.array([batches[first].r[5, 0, 0], batches[later].r[0, 0, 0]])
+        k = make_porous_medium(power_odd(2.0), power_law_density(0.5, 2))
+        batches = threaded_context(2, 40, k).batches   # one batch per offset row
+        bad = np.array([unseen_distance(batches, first), unseen_distance(batches, later)])
         poisoned = replace(k, eval_fn=lambda a, b, r: np.where(np.isin(r, bad), np.inf, k.eval_fn(a, b, r)))
-        ctx = threaded_context(1, 1024, poisoned)
+        ctx = threaded_context(2, 40, poisoned)
         u = np.random.default_rng(4).uniform(-1, 1, size=ctx.grid.n_cells)
         with pytest.raises(NonFiniteKernelError) as one_thread:
-            one_thread_sum(ctx, _eval_term(ctx, u, u.reshape(1, -1)), u.reshape(1, -1))
+            one_thread_sum(ctx, _eval_term(ctx, u, u.reshape(40, 40)), u.reshape(40, 40))
         assert f"r={float(bad[0])!r})" in str(one_thread.value)
         threads = threading.active_count()
         with pytest.raises(NonFiniteKernelError) as threaded:

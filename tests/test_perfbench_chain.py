@@ -90,3 +90,13 @@ def test_the_solve_binds_max_iters_by_name():
     bound = inspect.signature(evolve.step_backward_picard).bind(*args)
     assert bound.arguments["max_iters"] == 7
     assert set(spans.STEP_HOOKS) <= set(spans.HOOK_NAMES)
+
+
+@pytest.mark.parametrize("name, files, writer", [
+    ("pm1d_implicit", 4, False), ("heat2d_explicit", 4, False), ("heat1d_snapshots", 625, True)])
+def test_only_the_long_snapshot_stream_starts_a_writer_process(name, files, writer):
+    """The full ``heat1d_snapshots`` run plans 625 snapshots of 256 cells; the other two write theirs in-process."""
+    cfg = cli.parse_config(workloads.WORKLOADS[name].config_text("full", 1))
+    (ctx,), _, sc = cli._prepare_run(cfg, cfg.profile)
+    assert cli._SnapshotStream.planned_files(ctx, sc) == files
+    assert cli._SnapshotStream.pays(files, cfg.grid.n_cells) is writer
