@@ -20,9 +20,7 @@ from .diagnostics import (
     check_comparison,
     check_contraction,
     check_monotone_series,
-    make_test_bank,
     record,
-    weak_residual,
 )
 from .evolve import (
     SolverConfig,
@@ -40,7 +38,6 @@ from .kernels import (
     RegularizedKernel,
     ScalarFunction,
     cone_combine,
-    custom_function,
     levy_constant,
     make_convex_diffusion,
     make_doubly_nonlinear,

@@ -132,15 +132,14 @@ class AxiomSampling:
             raise ValueError("sample budget must be at least 1000")
 
 
-def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sample_budget: int = 10_000, seed: int = 0) -> list[AxiomReport]:
+def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sampling: AxiomSampling = AxiomSampling()) -> list[AxiomReport]:
     """Check conditions A1-A6 on random samples; one report per condition.
 
     ``R`` bounds the sampled field values, ``epsilon`` is the off-diagonal
-    margin for the Lipschitz condition A6.  The homogeneity condition A4 is
-    structural for this interface (the evaluator only sees ``r``), so it
-    always passes.
+    margin for the Lipschitz condition A6, ``sampling`` is ``validate.*``.
+    The homogeneity condition A4 is structural for this interface (the
+    evaluator only sees ``r``), so it always passes.
     """
-    sampling = AxiomSampling(sample_budget, seed)
     if R <= 0:
         raise ValueError("R must be positive")
     if not (0.0 < epsilon <= 1.0):

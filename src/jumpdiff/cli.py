@@ -286,8 +286,7 @@ def cmd_validate(args) -> int:
     cfg, outdir = _load_config(args)
     profiles = [cfg.profile] if cfg.profile_b is None else [cfg.profile, cfg.profile_b]
     (ctx,), _, _ = _prepare_run(cfg, *profiles)
-    reports = check_axioms(ctx.regkernel.base, R=ctx.bound_R, epsilon=ctx.regkernel.epsilon,
-                           sample_budget=cfg.validate.budget, seed=cfg.validate.seed)
+    reports = check_axioms(ctx.regkernel.base, R=ctx.bound_R, epsilon=ctx.regkernel.epsilon, sampling=cfg.validate)
     _write_csv(
         outdir / "axioms.csv",
         ("axiom", "verdict", "worst_violation", "tolerance", "samples_used", "estimate", "witness"),

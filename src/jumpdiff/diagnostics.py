@@ -7,10 +7,6 @@ norms decay, ordered data stay ordered, trajectories contract in L^1 --
 into deterministic pass/fail verdicts with explicit slack budgets.  Slacks
 are always arguments, never hidden constants; the ``jumpdiff`` commands
 derive them from each run (see :mod:`jumpdiff.cli`).
-
-``weak_residual`` measures how well a trajectory satisfies the space-time
-integral identity against a bank of smooth, compactly supported test
-bumps; it is a consistency indicator (first order in dt), not a proof.
 """
 
 from __future__ import annotations
@@ -20,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lattice import Field, GridSpec, Profile, bump, mass, norm_lp, sample_profile, total_variation
-from .operator import OperatorContext, _apply_raw
+from .lattice import Field, mass, norm_lp, total_variation
+from .operator import OperatorContext
 
 __all__ = [
     "DiagnosticsRecord",
@@ -33,8 +29,6 @@ __all__ = [
     "min_gaps",
     "check_contraction",
     "check_comparison",
-    "make_test_bank",
-    "weak_residual",
 ]
 
 MONOTONE_QUANTITIES = ("l1", "l2", "linf", "tv", "bv")
@@ -167,57 +161,3 @@ def check_comparison(traj_u, traj_v, slack: float) -> CheckResult:
         first_violation=first,
         detail=f"min gap {worst_gap:.6g}, slack {slack:g}",
     )
-
-
-def make_test_bank(grid: GridSpec, times, count: int = 3) -> list[np.ndarray]:
-    """Product bumps ``psi(t, x)`` sampled on the snapshot/cell lattice.
-
-    Each entry has shape ``(len(times), n_cells)``, vanishes at the first
-    and last two snapshots (compact support in time) and is a smooth
-    periodic bump in space.
-    """
-    times = np.asarray(times, dtype=float)
-    T = times[-1]
-    L = grid.period
-    bank = []
-    lo, hi = 0.15 * T, 0.85 * T
-    bt = bump(((times - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)
-    for k in range(count):
-        center = (0.25 + 0.5 * k / max(count - 1, 1)) * L
-        radius = L / (3.0 + k)
-        bx = sample_profile(Profile("smooth_bump", center=center, width=2.0 * radius), grid).values
-        bank.append(bt[:, None] * bx[None, :])
-    return bank
-
-
-def weak_residual(trajectory, ctx: OperatorContext, test_bank) -> float:
-    """Max over test bumps of the discrete space-time integral identity defect.
-
-    Uses centered time differences of the bump (first and last snapshots
-    excluded) and the same operator context as the run:
-
-        | sum_k sum_i u_k [ (psi_{k+1} - psi_{k-1}) / (2 dt) - (L_{u_k} psi_k) ]_i h^N dt |.
-
-    For a time-independent solution and a bump vanishing near both ends the
-    time part telescopes to zero exactly.
-    """
-    times = np.asarray(trajectory.times, dtype=float)
-    if len(times) < 3:
-        raise ValueError("need at least three snapshots for centered differences")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("weak residual requires uniformly spaced snapshots")
-    hn = trajectory.grid.cell_volume
-    worst = 0.0
-    for psi in test_bank:
-        if psi.shape != (len(times), trajectory.grid.n_cells):
-            raise ValueError("test bump shape does not match trajectory")
-        terms = []
-        for k in range(1, len(times) - 1):
-            u = trajectory.fields[k].values
-            dpsi_dt = (psi[k + 1] - psi[k - 1]) / (2.0 * dt)
-            l_psi = _apply_raw(ctx, u, psi[k])
-            terms.append(math.fsum(u * (dpsi_dt - l_psi)) * hn * dt)
-        worst = max(worst, abs(math.fsum(terms)))
-    return worst

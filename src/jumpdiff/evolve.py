@@ -151,7 +151,9 @@ def cfl_dt(ctx: OperatorContext, R: float, theta: float, fallback: float = 1.0) 
     ``M_R`` is :func:`kernels.regular_bound_M`, the majorant's lattice sum,
     which dominates every row ``sum_j m_eps(u_i, u_j; r_ij) h^N`` with
     ``|u| <= R``; at this dt each explicit step is a convex combination of
-    cell values, ``u_i`` weighing at least ``1 - theta / 2``.
+    cell values, ``u_i`` weighing at least ``1 - theta / 2``.  So the dt is
+    certified for every kernel that :mod:`jumpdiff.config` builds, and only
+    estimated for a custom f or phi (:class:`kernels.ScalarFunction`).
 
     Raises :class:`SolverAbortError` when that step is not positive, as for
     a bound ``M_R`` beyond the float range: no time step is certified.

@@ -66,7 +66,6 @@ __all__ = [
     "power_abs",
     "phi_power",
     "table_function",
-    "custom_function",
     "power_law_density",
     "compact_bump_density",
     "make_fractional_heat",
@@ -116,6 +115,14 @@ class ScalarFunction:
     difference-quotient kernel (diagonal value ``f'(a)``);
     ``ratio_limit0 = lim_{z->0} phi(z)/z`` is needed when it is used as the
     odd nonlinearity ``phi`` acting on differences.
+
+    A custom nonlinearity is this class built directly, say
+    ``ScalarFunction(kind="custom", func=..., deriv=...)``; nothing about it
+    is checked.  A kernel's majorant scale is exact for a ``power_odd`` or
+    ``table`` f, a ``phi_power`` phi and the convex f of convex diffusion.
+    For any other f or phi, ``sup f'`` and ``sup |phi(z)/z|`` are estimates
+    on a 4,097-point grid, and so are the majorant, :func:`regular_bound_M`
+    and :func:`evolve.cfl_dt`; ``jumpdiff validate``'s A5 checks them.
     """
 
     kind: str
@@ -202,11 +209,6 @@ def table_function(points) -> ScalarFunction:
         return np.where((z < xs[0]) | (z > xs[-1]), 0.0, out)
 
     return ScalarFunction(kind="table", func=f, deriv=df, table=pts)
-
-
-def custom_function(func, deriv=None, ratio_limit0=None) -> ScalarFunction:
-    """Wrap an arbitrary vectorized callable; no constraints are checked."""
-    return ScalarFunction(kind="custom", func=func, deriv=deriv, ratio_limit0=ratio_limit0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def make_fractional_heat(alpha: float, amplitude: float = 1.0, dim: int = 1) -> 
 
 
 def _f_sup_deriv(f: ScalarFunction | None, R: float) -> float:
-    """Upper bound for ``sup_{|a|,|b|<=R} (f(a)-f(b))/(a-b)``; 1 for the identity (``f = None``)."""
+    """``sup_{|a|,|b|<=R} (f(a)-f(b))/(a-b)``: exact for power_odd and table, else a grid estimate; 1 for None."""
     if f is None:
         return 1.0
     if f.kind == "power_odd":
@@ -405,19 +407,17 @@ def _f_sup_deriv(f: ScalarFunction | None, R: float) -> float:
         # Exact: f' is constant between breakpoints and right-continuous at them.
         xs = np.array([x for x, _ in f.table])
         return float(np.max(f.deriv(np.append(-R, xs[(xs >= -R) & (xs < R)]))))
-    # generic monotone f: estimate sup f' on a dense grid (documented estimate)
     grid = np.linspace(-R, R, 4097)
     return float(np.max(f.deriv(grid)))
 
 
 def _ratio_sup(phi: ScalarFunction | None, zmax: float) -> float:
-    """Upper bound for ``sup_{|z|<=zmax} |phi(z)/z|``; 1 for the identity (``phi = None``)."""
+    """``sup_{|z|<=zmax} |phi(z)/z|``: exact for phi_power, else a grid estimate; 1 for the identity (None)."""
     if phi is None:
         return 1.0
     lim0 = float(phi.ratio_limit0)
     if phi.kind == "phi_power":
         return max(zmax ** (phi.param - 2.0), lim0)
-    # generic phi: estimate the ratio on a dense grid (documented estimate)
     zs = np.linspace(-zmax, zmax, 4097)
     zs = zs[np.abs(zs) > 1e-12]
     return max(float(np.max(np.abs(phi(zs) / zs))), lim0) if zs.size else lim0
@@ -739,6 +739,8 @@ def regular_bound_M(regkernel: RegularizedKernel, R: float, grid: GridSpec) -> f
     (A5) and the ramp at most 1, so this sum dominates every row.  The
     integral ``eps^-1 K_R`` of condition B1 is no such bound: a midpoint
     sum can exceed its integral.  A sum beyond the float range is ``inf``.
+    Certified for every kernel that :mod:`jumpdiff.config` builds, only
+    estimated for a custom f or phi (:class:`ScalarFunction`).
     """
     try:   # a term beyond the float range is inf, and so is the sum
         return float(math.fsum(lattice_majorant(regkernel, R, grid)) * grid.cell_volume)

@@ -283,8 +283,7 @@ def test_validate_exit_code_and_witnesses(tmp_path, kernel, code, failed):
     assert [row["axiom"] for row in rows if row["verdict"] != "pass"] == failed
     assert all(row["verdict"] == "fail" for row in rows if row["axiom"] in failed)
     cfg = parse_config(VALIDATE + kernel)   # the unit box: R = 1; no solver.epsilon: the spacing
-    reports = check_axioms(build_kernel(cfg), R=1.0, epsilon=cfg.grid.spacing,
-                           sample_budget=cfg.validate.budget, seed=cfg.validate.seed)
+    reports = check_axioms(build_kernel(cfg), R=1.0, epsilon=cfg.grid.spacing, sampling=cfg.validate)
     assert [row["axiom"] for row in rows] == [r.axiom for r in reports]
     for row, report in zip(rows, reports):
         assert float(row["worst_violation"]) == report.worst_violation

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumpdiff.diagnostics import check_comparison, l1_distances, make_test_bank, record, weak_residual
+from jumpdiff.diagnostics import check_comparison, l1_distances, record
 from jumpdiff.evolve import SolverConfig, Trajectory, run
 from jumpdiff.kernels import make_fractional_heat, make_zero_kernel, regularize
-from jumpdiff.lattice import Field, Profile, bv_norm, make_grid, sample_profile
-from jumpdiff.operator import build_context
+from jumpdiff.lattice import Field, Profile, bump, bv_norm, make_grid, sample_profile
+from jumpdiff.operator import _apply_raw, build_context
 
 
 @given(st.sampled_from([(1, 37), (2, 9)]), st.integers(0, 2**32 - 1))
@@ -45,6 +47,61 @@ class TestCrossRunChecks:
             l1_distances(self.LO, shifted)
 
 
+def make_test_bank(grid, times, count=3):
+    """Product bumps ``psi(t, x)`` sampled on the snapshot/cell lattice.
+
+    Each entry has shape ``(len(times), n_cells)``, vanishes at the first
+    and last two snapshots (compact support in time) and is a smooth
+    periodic bump in space.
+    """
+    times = np.asarray(times, dtype=float)
+    T = times[-1]
+    L = grid.period
+    bank = []
+    lo, hi = 0.15 * T, 0.85 * T
+    bt = bump(((times - 0.5 * (lo + hi)) / (0.5 * (hi - lo))) ** 2)
+    for k in range(count):
+        center = (0.25 + 0.5 * k / max(count - 1, 1)) * L
+        radius = L / (3.0 + k)
+        bx = sample_profile(Profile("smooth_bump", center=center, width=2.0 * radius), grid).values
+        bank.append(bt[:, None] * bx[None, :])
+    return bank
+
+
+def weak_residual(trajectory, ctx, test_bank):
+    """Max over test bumps of the discrete space-time integral identity defect.
+
+    Uses centered time differences of the bump (first and last snapshots
+    excluded) and the same operator context as the run:
+
+        | sum_k sum_i u_k [ (psi_{k+1} - psi_{k-1}) / (2 dt) - (L_{u_k} psi_k) ]_i h^N dt |.
+
+    For a time-independent solution and a bump vanishing near both ends the
+    time part telescopes to zero exactly.  It is a consistency indicator
+    (first order in dt), not a proof.
+    """
+    times = np.asarray(trajectory.times, dtype=float)
+    if len(times) < 3:
+        raise ValueError("need at least three snapshots for centered differences")
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
+        raise ValueError("weak residual requires uniformly spaced snapshots")
+    hn = trajectory.grid.cell_volume
+    worst = 0.0
+    for psi in test_bank:
+        if psi.shape != (len(times), trajectory.grid.n_cells):
+            raise ValueError("test bump shape does not match trajectory")
+        terms = []
+        for k in range(1, len(times) - 1):
+            u = trajectory.fields[k].values
+            dpsi_dt = (psi[k + 1] - psi[k - 1]) / (2.0 * dt)
+            l_psi = _apply_raw(ctx, u, psi[k])
+            terms.append(math.fsum(u * (dpsi_dt - l_psi)) * hn * dt)
+        worst = max(worst, abs(math.fsum(terms)))
+    return worst
+
+
 class TestWeakResidual:
     GRID = make_grid(1, 32, 1.0)
     U0 = sample_profile(Profile("random_bv", seed=3), GRID)
@@ -72,3 +129,13 @@ class TestWeakResidual:
         traj.times[2] += 0.001
         with pytest.raises(ValueError, match="uniformly spaced"):
             weak_residual(traj, ctx, make_test_bank(self.GRID, traj.times))
+
+    def test_needs_three_snapshots(self):
+        ctx, _ = self.zero_kernel_run()
+        with pytest.raises(ValueError, match="need at least three snapshots for centered differences"):
+            weak_residual(hand_trajectory(self.GRID, [np.zeros(self.GRID.n_cells)] * 2), ctx, [])
+
+    def test_rejects_a_bump_of_another_shape(self):
+        ctx, traj = self.zero_kernel_run()
+        with pytest.raises(ValueError, match="test bump shape does not match trajectory"):
+            weak_residual(traj, ctx, [np.zeros((2, self.GRID.n_cells))])

@@ -459,6 +459,17 @@ def test_krylov_result_beyond_the_l1_bound_falls_back_to_the_circulant_start():
     assert len(calls) == 2
 
 
+def test_krylov_returns_the_circulant_start_when_it_solves_the_system():
+    f = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
+    assert np.array_equal(evolve._krylov_solve(lambda x: x, lambda x: x, f, 3), f)
+
+
+def test_krylov_stops_at_a_hessenberg_breakdown():
+    # P = 2 I maps the first direction onto itself: the Krylov space is exhausted after one step.
+    f = np.tile([1.0, -1.0], 8)   # mass 0, with a residual norm (4) and direction (+-1/4) exact in binary
+    assert np.array_equal(evolve._krylov_solve(lambda x: 2.0 * x, lambda x: x, f, 3), f / 2)
+
+
 def test_an_infinite_majorant_weight_leaves_the_residual_unpreconditioned():
     grid = make_grid(1, 16, 1.0)
     kernel = make_porous_medium(power_odd(3.5), power_law_density(0.5, 1))
@@ -589,6 +600,7 @@ def test_extrapolation_is_exact_for_quadratic_trajectories():
     line = deque([(t, Field(grid, a + t * b)) for t in (0.25, 0.5)])
     np.testing.assert_allclose(evolve._extrapolate(line, 1.0).values, a + b, rtol=0, atol=1e-14)
     assert evolve._extrapolate(deque([(0.0, at(0.0))]), 1.0) is None
+    assert evolve._extrapolate(deque([(0.5, at(0.5)), (0.5, at(0.5))]), 1.0) is None   # a repeated time
 
 
 def test_explicit_step_on_a_non_finite_kernel_value_aborts_with_the_trajectory():

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from jumpdiff.axioms import VIOLATION_RTOL, check_axioms, check_regular
+from jumpdiff.axioms import VIOLATION_RTOL, AxiomSampling, check_axioms, check_regular
 from jumpdiff.kernels import (
     JumpKernel,
     LevyDensity,
     QuadratureDivergenceError,
+    ScalarFunction,
     compact_bump_density,
     cone_combine,
-    custom_function,
     levy_constant,
     make_convex_diffusion,
     make_doubly_nonlinear,
@@ -72,7 +72,7 @@ class TestPorousMedium:
 
     def test_rejects_f_without_derivative(self):
         with pytest.raises(ValueError):
-            make_porous_medium(custom_function(lambda a: a), MU1)
+            make_porous_medium(ScalarFunction(kind="custom", func=lambda a: a), MU1)
 
 
 class TestConvexDiffusion:
@@ -310,7 +310,7 @@ class TestClosedFormMoments:
         k = make_porous_medium(power_odd(2.0), LevyDensity("power_law", 1, alpha=1.2))
         with pytest.raises(QuadratureDivergenceError):
             levy_constant(k, 1.0)
-        reports = {r.axiom: r for r in check_axioms(k, R=1.0, epsilon=0.1, sample_budget=2000, seed=0)}
+        reports = {r.axiom: r for r in check_axioms(k, R=1.0, epsilon=0.1, sampling=AxiomSampling(2000, 0))}
         assert reports["A5"].verdict == "fail"
 
     def test_order_zero_has_infinite_tail(self):
