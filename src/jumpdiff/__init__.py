@@ -13,7 +13,7 @@ properties of the flow (mass conservation, L^p and BV decay, L^1
 contraction, comparison, positivity) into testable invariants.
 """
 
-from .axioms import AxiomReport, check_axioms, check_regular, replay_violation
+from .axioms import AxiomReport, check_axioms, replay_violation
 from .diagnostics import (
     CheckResult,
     DiagnosticsRecord,

@@ -6,10 +6,9 @@ and seeds are part of the report.  Failures, on the other hand, are sound:
 each carries a witness tuple that reproduces the violation when replayed
 through the kernel (see :func:`replay_violation`).
 
-Axiom checks (A1-A6) exercise the raw kernel; regularity checks (B1-B2)
-exercise row sums on a grid.  Sample streams are nested: enlarging the
-budget with the same seed only appends samples, so the recorded worst
-violation is non-decreasing in the budget.
+The checks (A1-A6) exercise the raw kernel.  Sample streams are nested:
+enlarging the budget with the same seed only appends samples, so the
+recorded worst violation is non-decreasing in the budget.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operator
-from .kernels import JumpKernel, QuadratureDivergenceError, RegularizedKernel, levy_constant, regular_bound_M
-from .lattice import Field, GridSpec, cutoff_mask, make_grid, neighbor_windows
+from .kernels import JumpKernel, QuadratureDivergenceError, levy_constant
 
-__all__ = ["AxiomReport", "AxiomSampling", "check_axioms", "check_regular", "replay_violation"]
+__all__ = ["AxiomReport", "AxiomSampling", "check_axioms", "replay_violation"]
 
 # Relative tolerance separating float noise from genuine violations.
 VIOLATION_RTOL = 1e-12
@@ -120,7 +117,11 @@ def _report(axiom: str, kernel, samples: dict, n: int, estimate: float | None = 
 
 @dataclass(frozen=True)
 class AxiomSampling:
-    """The sampling budget and seed of :func:`check_axioms`: at least 1000 samples, a non-negative seed."""
+    """The sampling budget and seed of :func:`check_axioms`: 1000 to 10^7 samples, a non-negative seed.
+
+    The sample arrays grow linearly with the budget, about 160 MB per
+    million samples, so the cap keeps a run within ~1.7 GB.
+    """
 
     budget: int = 10_000
     seed: int = 0
@@ -130,6 +131,8 @@ class AxiomSampling:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.budget < 1_000:
             raise ValueError("sample budget must be at least 1000")
+        if self.budget > 10**7:
+            raise ValueError(f"sample budget must be at most 10000000, got {self.budget}")
 
 
 def check_axioms(kernel: JumpKernel, R: float, epsilon: float, sampling: AxiomSampling = AxiomSampling()) -> list[AxiomReport]:
@@ -224,117 +227,16 @@ def _a6(kernel, R: float, epsilon: float, n: int, rng_a6, rng_probe) -> AxiomRep
     )
 
 
-def _bare_row_sums(grid: GridSpec, kernel: JumpKernel, v: np.ndarray) -> np.ndarray:
-    """Row sums of the raw kernel over all distinct pairs (no cutoff, no ramp).
-
-    Both orientations of every pair are evaluated, so kernels that break the
-    symmetry A2 show up in the row sums.
-    """
-    vp = operator._plane(grid, v)
-    v_nb = neighbor_windows(vp)
-    rows = sum(np.asarray(kernel.eval(vp, v_nb[b.row, b.cols], b.r), dtype=float).sum(axis=0)
-               for b in operator._offset_batches(grid, cutoff_mask(grid, 0.0), half=False))
-    return rows.ravel() * grid.cell_volume
-
-
-def check_regular(regkernel, grid: GridSpec, R: float, sample_budget: int = 2_000, seed: int = 0) -> list[AxiomReport]:
-    """Check the regularity conditions B1 (bounded rows) and B2 (Lipschitz in u).
-
-    Accepts either a :class:`RegularizedKernel` (row sums are compared
-    against the certified bound) or a bare :class:`JumpKernel` (row sums
-    are probed under grid refinement; steady growth refutes B1, as happens
-    for any kernel with a non-integrable diagonal singularity).
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    rng_b1, rng_b2 = _rngs(seed, 2)
-    n_fields = max(4, int(sample_budget) // grid.n_cells)
-    reports = []
-    regularized = isinstance(regkernel, RegularizedKernel)
-
-    if regularized:
-        bound = regular_bound_M(regkernel, R, grid)
-        ctx = operator.build_context(grid, regkernel, R)
-        worst = -math.inf
-        wit = None
-        for _ in range(n_fields):
-            v = Field(grid, rng_b1.uniform(-R, R, size=grid.n_cells))
-            s = operator.max_row_sum(ctx, v)
-            if s - bound > worst:
-                worst, wit = s - bound, {"row_sum": s, "bound": bound, "field": v, "R": float(R)}
-        worst = max(0.0, worst)
-        tol = 1e-9 * max(1.0, bound)
-        reports.append(AxiomReport("B1", "pass" if worst <= tol else "fail", worst, tol, wit,
-                                   n_fields * grid.n_cells, estimate=bound))
-    else:
-        # Bare kernel: refine the lattice and watch the largest row sum.
-        sums = []
-        for level in range(3):
-            g = make_grid(grid.dimension, grid.cells_per_axis * 2**level, grid.period)
-            v = rng_b1.uniform(-R, R, size=g.n_cells)
-            sums.append(float(_bare_row_sums(g, regkernel, v).max()))
-        growth = [sums[k + 1] / max(sums[k], 1e-300) for k in range(2)]
-        diverging = min(growth) >= 1.25
-        detail = "max row sums under refinement: " + ", ".join(f"{s:.6g}" for s in sums)
-        verdict = "fail" if diverging else ("pass" if max(growth) <= 1.1 else "inconclusive")
-        reports.append(AxiomReport("B1", verdict, min(growth) if diverging else 0.0, 1.25,
-                                   {"row_sums": sums} if diverging else None,
-                                   3 * grid.n_cells, estimate=sums[-1], detail=detail))
-
-    # B2: finite-difference estimate of the Lipschitz constant L_R of the
-    # row sums with respect to the field argument.
-    keep = cutoff_mask(grid, regkernel.epsilon if regularized else 0.0)
-    l_hat = 0.0
-    nonfinite = False
-    for _ in range(n_fields):
-        u = rng_b2.uniform(-R, R, size=grid.n_cells)
-        g = rng_b2.uniform(-1.0, 1.0, size=grid.n_cells)
-        for delta in (1e-2, 1e-4):
-            w = np.clip(u + delta * g, -R, R)
-            du = _row_sum_difference(grid, regkernel.eval, u, w, keep)
-            if not math.isfinite(du):
-                nonfinite = True
-                continue
-            denom = _norm_1_inf(grid, u - w)
-            if denom > 0:
-                l_hat = max(l_hat, du / denom)
-    if nonfinite:
-        reports.append(AxiomReport("B2", "inconclusive", math.inf, 0.0, None, n_fields * grid.n_cells,
-                                   detail="non-finite kernel difference"))
-    else:
-        reports.append(AxiomReport("B2", "pass", 0.0, 0.0, None, n_fields * grid.n_cells, estimate=l_hat,
-                                   detail=f"L_hat(R)={l_hat:.6g}"))
-    return reports
-
-
-def _row_sum_difference(grid, eval_pairs, u, w, keep) -> float:
-    """sup_x sum_j |m(u_x,u_j) - m(w_x,w_j)| h^N over the offsets where ``keep`` holds."""
-    up, wp = operator._plane(grid, u), operator._plane(grid, w)
-    u_nb, w_nb = neighbor_windows(up), neighbor_windows(wp)
-    rows = np.zeros(up.shape)
-    for b in operator._offset_batches(grid, keep, half=False):
-        mu = np.asarray(eval_pairs(up, u_nb[b.row, b.cols], b.r), dtype=float)
-        mw = np.asarray(eval_pairs(wp, w_nb[b.row, b.cols], b.r), dtype=float)
-        rows += np.abs(mu - mw).sum(axis=0)
-    return float(rows.max()) * grid.cell_volume
-
-
-def _norm_1_inf(grid, x) -> float:
-    return float(np.abs(x).sum() * grid.cell_volume + np.abs(x).max())
-
-
 def replay_violation(kernel, report: AxiomReport) -> float:
     """Recompute the violation from a fail report's witness; 0 if none applies.
 
     For A1-A5 this evaluates, at the witness, the same measure whose worst
     sample is ``worst_violation``, so a sound failure replays to
-    ``worst_violation`` and hence above ``report.tolerance``.  A B1 failure of
-    a regularized kernel (passed as ``kernel``) replays the largest row sum of
-    its sampled field less the certified bound, and a bare-kernel B1 failure
-    its row-sum growth.  A6 is the exception: it returns
-    the Lipschitz ratio at the witness (over ``|a - c|``), not the growth of
-    the ratio that the probe reports; for the subquadratic p-Laplacian the
-    growth is 4.80191943e10 and the ratio 4.80191944e10.
+    ``worst_violation`` and hence above ``report.tolerance``.  A6 is the
+    exception: it returns the Lipschitz ratio at the witness (over
+    ``|a - c|``), not the growth of the ratio that the probe reports; for the
+    subquadratic p-Laplacian the growth is 4.80191943e10 and the ratio
+    4.80191944e10.
     """
     w = report.witness
     if w is None:
@@ -347,11 +249,4 @@ def replay_violation(kernel, report: AxiomReport) -> float:
     if report.axiom == "A6":
         maj = float(kernel.majorant(w["R"], w["r"]))
         return float(_lipschitz_ratio(kernel, w["a"], w["b"], w["c"], w["r"], abs(w["a"] - w["c"]), maj))
-    if report.axiom == "B1" and "row_sums" in w:
-        s = w["row_sums"]
-        return min(s[k + 1] / max(s[k], 1e-300) for k in range(len(s) - 1))
-    if report.axiom == "B1":
-        v, R = w["field"], w["R"]
-        row_sum = operator.max_row_sum(operator.build_context(v.grid, kernel, R), v)
-        return max(0.0, row_sum - regular_bound_M(kernel, R, v.grid))
     return 0.0

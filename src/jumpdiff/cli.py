@@ -9,8 +9,9 @@ Exit codes form a small contract for CI use:
   be written (a snapshot among them, also when the solver aborted), a
   ``compare`` config without ``profile_b.*``, a cutoff radius
   ``solver.epsilon`` that leaves no lattice neighbour, a ``solver.r``
-  below ``sup|u0|`` and a ``profile.*`` or ``profile_b.*`` key that the
-  profile kind does not read;
+  below ``sup|u0|``, a ``profile.*`` or ``profile_b.*`` key that the
+  profile kind does not read and a ``validate.budget`` outside 1000 to
+  10^7 samples;
 * 2 -- an axiom check failed (``validate``);
 * 3 -- the solver aborted (an explicit ``solver.dt`` above the CFL limit,
   a certified row-sum bound that leaves no positive dt, a dt or a

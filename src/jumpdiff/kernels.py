@@ -42,8 +42,10 @@ coefficient field is the field itself; everything else evaluates ``m``.
 Regularization composes a kernel with a ramp in ``|a - b|`` and a spatial
 cutoff at radius ``epsilon``.  The result has bounded rows (condition B1),
 certified on the lattice by the majorant's lattice sum
-(:func:`regular_bound_M`), not by ``epsilon^-1 K_R``, which a midpoint row
-can exceed; and it is Lipschitz in the field arguments (B2).
+(:func:`regular_bound_M`, the bound that ``evolve.cfl_dt`` divides by), not
+by ``epsilon^-1 K_R``, which a midpoint row can exceed.  It is Lipschitz in
+the field arguments (B2), which follows from A6 and the ramp's Lipschitz
+constant; nothing samples B2.
 """
 
 from __future__ import annotations

@@ -131,12 +131,12 @@ def _plane(grid: GridSpec, x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, grid.cells_per_axis)
 
 
-def _offset_batches(grid: GridSpec, keep: np.ndarray, half: bool) -> tuple:
-    """Batches of the flat offsets where ``keep`` holds, row by row of the offset plane.
+def _offset_batches(grid: GridSpec, keep: np.ndarray) -> tuple:
+    """Batches of one offset of each pair ``o, -o`` where ``keep`` holds, row by row of the offset plane.
 
-    With ``half`` only one offset of each pair ``o, -o`` is kept: rows up to
-    the middle one, and in the first and middle rows columns up to the
-    middle one.  Offsets that are their own negative get pair weight 1/2.
+    The kept offsets are rows up to the middle one, and in the first and
+    middle rows columns up to the middle one.  Offsets that are their own
+    negative get pair weight 1/2.
     """
     m = grid.cells_per_axis
     keep = _plane(grid, keep)
@@ -144,8 +144,8 @@ def _offset_batches(grid: GridSpec, keep: np.ndarray, half: bool) -> tuple:
     rows = keep.shape[0]
     per_batch = max(1, _CHUNK_TARGET // grid.n_cells)
     batches = []
-    for row in range(rows // 2 + 1 if half else rows):
-        mirrored = half and 2 * row % rows == 0
+    for row in range(rows // 2 + 1):
+        mirrored = 2 * row % rows == 0
         cols = np.nonzero(keep[row, :m // 2 + 1 if mirrored else m])[0]
         for run in np.split(cols, np.nonzero(np.diff(cols) != 1)[0] + 1):
             for lo in range(0, run.size, per_batch):
@@ -192,7 +192,7 @@ def build_context(grid: GridSpec, regkernel: RegularizedKernel, R: float) -> Ope
             f"empty neighborhood: epsilon = {eps:g} exceeds the largest torus distance "
             f"{offset_distances(grid).max():g}"
         )
-    batches = _offset_batches(grid, keep, half=True)
+    batches = _offset_batches(grid, keep)
     flux = regkernel.base.flux
     if flux is not None:
         with np.errstate(over="ignore"):   # an infinite weight makes its applies take the eval path

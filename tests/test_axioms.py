@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jumpdiff.axioms import AxiomReport, AxiomSampling, check_axioms, check_regular, replay_violation
+from jumpdiff.axioms import AxiomReport, AxiomSampling, check_axioms, replay_violation
 from jumpdiff.kernels import (
     QuadratureDivergenceError,
     ScalarFunction,
@@ -19,9 +19,7 @@ from jumpdiff.kernels import (
     power_abs,
     power_law_density,
     power_odd,
-    regularize,
 )
-from jumpdiff.lattice import make_grid
 
 
 SAMPLING = AxiomSampling(budget=2000, seed=0)
@@ -152,10 +150,6 @@ def test_failures_replay_to_their_worst_violation(seed):
                 failed.add(r.axiom)
                 assert replay_violation(k, r) == pytest.approx(r.worst_violation, rel=1e-12), (k.name, r.axiom)
     assert failed == {"A1", "A2", "A3", "A5"}
-    k = make_fractional_heat(0.5, 1.0, dim=1)
-    r = by_axiom(check_regular(k, make_grid(1, 16, 4.0), R=1.0, seed=seed))["B1"]
-    assert r.verdict == "fail"
-    assert replay_violation(k, r) == pytest.approx(r.worst_violation, rel=1e-12)
 
 
 class TestDeterminismAndNesting:
@@ -172,45 +166,6 @@ class TestDeterminismAndNesting:
             reports = by_axiom(check_axioms(k, R=1.0, epsilon=0.1, sampling=AxiomSampling(budget, 3)))
             worsts.append(reports["A1"].worst_violation)
         assert worsts[0] <= worsts[1] <= worsts[2]
-
-
-class TestCheckRegular:
-    def test_zero_kernel_bound_zero_pass(self):
-        g = make_grid(1, 16, 4.0)
-        reports = by_axiom(check_regular(regularize(make_zero_kernel(1), 0.25), g, R=1.0, seed=0))
-        assert reports["B1"].verdict == "pass"
-        assert reports["B1"].estimate == 0.0
-        assert reports["B2"].verdict == "pass"
-
-    def test_fractional_heat_rows_below_certified_bound(self):
-        g = make_grid(1, 32, 4.0)
-        eps = g.spacing
-        reg = regularize(make_fractional_heat(0.5, 1.0, dim=1), eps)
-        reports = by_axiom(check_regular(reg, g, R=1.0, seed=1))
-        assert reports["B1"].verdict == "pass"
-        assert reports["B2"].verdict == "pass"
-        assert np.isfinite(reports["B2"].estimate)
-
-    def test_regularized_b1_failure_replays_its_worst_violation(self):
-        g = make_grid(1, 32, 1.0)
-        reg = regularize(majorant_violator(), 2 * g.spacing)
-        r = by_axiom(check_regular(reg, g, R=1.0, seed=0))["B1"]
-        assert r.verdict == "fail" and r.worst_violation > 1e6 * r.tolerance
-        assert replay_violation(reg, r) == pytest.approx(r.worst_violation, rel=1e-12)
-
-    def test_bare_singular_kernel_fails_b1_under_refinement(self):
-        g = make_grid(1, 16, 4.0)
-        k = make_fractional_heat(0.5, 1.0, dim=1)
-        reports = by_axiom(check_regular(k, g, R=1.0, seed=2))
-        r = reports["B1"]
-        assert r.verdict == "fail"
-        assert replay_violation(k, r) >= r.tolerance
-
-    def test_bare_integrable_kernel_passes_b1(self):
-        g = make_grid(1, 16, 4.0)
-        k = make_p_laplacian(phi_power(2.0), compact_bump_density(1.0, dim=1))
-        reports = by_axiom(check_regular(k, g, R=1.0, seed=2))
-        assert reports["B1"].verdict == "pass"
 
 
 def nan_above_half():
@@ -236,8 +191,3 @@ class TestNonFiniteKernel:
         a6 = by_axiom(check_axioms(k, R=1.0, epsilon=0.1, sampling=SAMPLING))["A6"]
         assert (a6.verdict, a6.worst_violation, a6.witness, a6.detail) == (
             "inconclusive", np.inf, None, "non-finite probe value")
-
-    def test_b2_is_inconclusive_on_a_non_finite_difference(self):
-        b2 = by_axiom(check_regular(nan_above_half(), make_grid(1, 16, 1.0), R=1.0, seed=0))["B2"]
-        assert (b2.verdict, b2.worst_violation, b2.witness, b2.detail) == (
-            "inconclusive", np.inf, None, "non-finite kernel difference")

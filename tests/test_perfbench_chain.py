@@ -4,8 +4,9 @@
 sits outside the tier-1 suite; this checks, in well under a second, that
 the call chain it pins still exists: ``child.prepare`` on every workload's
 ``tiny`` config, the calls of ``child.layers``, every ``spans.HOOKS``
-attribute, the ``max_iters`` argument that ``spans`` binds by name, and a
-traced ``run`` of every ``tiny`` config in which each hook fires.
+attribute, the ``max_iters`` argument that ``spans`` binds by name, a
+traced ``run`` of every ``tiny`` config in which each hook fires, and that
+the pair set ``child.active_offsets`` restates is the operator's.
 """
 
 import importlib
@@ -15,9 +16,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jumpdiff import cli, diagnostics, evolve
+from jumpdiff.config import solver_config
+from jumpdiff.lattice import cutoff_mask
 from jumpdiff.operator import apply
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -100,3 +104,13 @@ def test_only_the_long_snapshot_stream_starts_a_writer_process(name, files, writ
     (ctx,), _, sc = cli._prepare_run(cfg, cfg.profile)
     assert cli._SnapshotStream.planned_files(ctx, sc) == files
     assert cli._SnapshotStream.pays(files, cfg.grid.n_cells) is writer
+
+
+@pytest.mark.parametrize("size", workloads.SIZES)
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_the_benchmark_pair_set_is_the_operators(name, size):
+    """``child.active_offsets`` restates ``lattice.cutoff_mask``; a change to the operator's pair set needs one to the benchmark."""
+    cfg = cli.parse_config(workloads.WORKLOADS[name].config_text(size, 1))
+    eps = solver_config(cfg).epsilon
+    offsets, _ = child.active_offsets(cfg.grid, eps)
+    np.testing.assert_array_equal(offsets, np.flatnonzero(cutoff_mask(cfg.grid, eps)))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from jumpdiff.axioms import AxiomSampling, check_axioms, check_regular
+from jumpdiff.axioms import AxiomSampling, check_axioms
 from jumpdiff.diagnostics import check_monotone_series, l1_distances
 from jumpdiff.evolve import Trajectory, cfl_dt, mollify_initial
 from jumpdiff.kernels import (
@@ -52,8 +52,8 @@ def trajectory(grid, count):
     # axioms
     (lambda: check_axioms(HEAT, R=0.0, epsilon=0.5), "R must be positive"),
     (lambda: check_axioms(HEAT, R=1.0, epsilon=1.5), "epsilon must lie in (0, 1]"),
-    (lambda: check_regular(REG, GRID, R=0.0), "R must be positive"),
     (lambda: AxiomSampling(budget=10), "sample budget must be at least 1000"),
+    (lambda: AxiomSampling(budget=10**7 + 1), "sample budget must be at most 10000000, got 10000001"),
     (lambda: AxiomSampling(seed=-1), "seed must be non-negative, got -1"),
     # evolve
     (lambda: cfl_dt(CTX, 1.0, theta=0.0), "theta must lie in (0, 1]"),
