@@ -3,13 +3,12 @@
     python -I -S _snapshot_writer.py OUTDIR DIMENSION CELLS PERIOD
 
 ``jumpdiff.cli`` starts this file as a process of its own while the solver
-steps, for a long snapshot stream.  Each record on standard input is a
-``RECORD`` header, the snapshot index and the number of cells, followed by
-that many native float64 values; each becomes
-``OUTDIR/snapshot_<index>.csv`` with ``i,x[,y],u`` rows.  The exit status
-is all the process reports: 0 once standard input ends with every record
-written, 1 at the first file that cannot be written, after which it
-writes no further file.  It prints nothing.
+steps, for a long snapshot stream.  Standard input carries the snapshots
+in order, each as ``CELLS ** DIMENSION`` native float64 values and nothing
+else; snapshot ``k`` (from 0) becomes ``OUTDIR/snapshot_<k>.csv`` with
+``i,x[,y],u`` rows.  The exit status is all the process reports: 0 once
+standard input ends with every snapshot written, 1 at the first file that
+cannot be written, after which it writes no further file.  It prints nothing.
 ``cli`` calls :func:`write` in its own process for a trajectory that no
 process wrote, a short stream's among them.
 
@@ -23,11 +22,8 @@ byte (``\\r\\n`` line endings), and every value round-trips exactly.
 from __future__ import annotations
 
 import os
-import struct
 import sys
 from array import array
-
-RECORD = struct.Struct("=qq")   # snapshot index, number of cells
 
 
 def template(dimension: int, cells: int, period: float) -> str:
@@ -63,18 +59,16 @@ def write(outdir: str, dimension: int, cells: int, period: float, records) -> tu
     return None
 
 
-def _records(source):
-    """The ``(index, values)`` records of the binary stream ``source``, up to its end."""
-    while len(header := source.read(RECORD.size)) == RECORD.size:
-        index, count = RECORD.unpack(header)
-        values = array("d")
-        values.frombytes(source.read(8 * count))
-        yield index, values
+def _records(source, count: int):
+    """The ``(index, values)`` records of the binary stream ``source``, ``count`` floats each, up to its end."""
+    for index, data in enumerate(iter(lambda: source.read(8 * count), b"")):
+        yield index, array("d", data)
 
 
 def main(argv) -> int:
     outdir, dimension, cells, period = argv[1:]
-    return 0 if write(outdir, int(dimension), int(cells), float(period), _records(sys.stdin.buffer)) is None else 1
+    records = _records(sys.stdin.buffer, int(cells) ** int(dimension))
+    return 0 if write(outdir, int(dimension), int(cells), float(period), records) is None else 1
 
 
 if __name__ == "__main__":

@@ -42,8 +42,10 @@ one summary row per enabled check, axiom reports, comparison and Cauchy
 tables.  Floats are written with 17 significant digits so files round-trip
 exactly; identical configs produce byte-identical outputs.  ``--seed``
 (overriding ``validate.seed``) is ``validate``'s alone: only axiom sampling reads it.
-``run`` plans its snapshot stream before the first step.  A stream of more
-than 131,072 rows (files times cells) goes to a writer process
+``run`` plans before the first step: ``evolve._step_policy`` gives dt, the
+snapshot interval and the snapshot count, and refuses a dt above the CFL
+limit or a run over the step budget before any file or process.  A stream
+of more than 131,072 rows (files times cells) goes to a writer process
 (``_snapshot_writer``) while the solver steps, and ``run`` waits for it to
 exit.  ``run`` writes every snapshot in its own process once the solver
 stops when the stream is shorter, when no process starts, or when one does
@@ -61,7 +63,6 @@ import argparse
 import contextlib
 import csv
 import ctypes
-import math
 import os
 import sys
 import warnings
@@ -84,9 +85,7 @@ from .config import (
 )
 from .diagnostics import OrderingError, check_comparison, check_contraction, check_monotone_series
 from .evolve import (
-    MAX_STEPS,
     SolverAbortError,
-    SolverConfig,
     Trajectory,
     _step_policy,
     continuation_in_epsilon,
@@ -95,7 +94,7 @@ from .evolve import (
 )
 from .kernels import regularize
 from .lattice import Field, GridSpec, sample_profile
-from .operator import EmptyNeighborhoodError, OperatorContext, build_context
+from .operator import EmptyNeighborhoodError, build_context
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -128,9 +127,9 @@ def _write_csv(path: Path, header, rows) -> None:
 class _SnapshotStream:
     """The snapshot files of one ``run``, written by a writer process while the solver steps if that pays.
 
-    A process starts only for a planned stream (:meth:`planned_files`) of
-    more than ``MAX_ROWS`` = 131,072 rows, files times cells (:meth:`pays`).
-    Every shorter stream is written in this process once the solver stops.
+    A process starts only for a planned stream (the count of
+    :func:`evolve._step_policy`) of more than ``MAX_ROWS`` = 131,072 rows,
+    files times cells (:meth:`pays`).  Every shorter stream is written in this process once the solver stops.
     The process costs an interpreter start and a pipe copy of each field,
     and pays only where the solver leaves it the time to overlap the
     writing.  Alternated pairs of whole ``jumpdiff run`` processes on a
@@ -152,8 +151,9 @@ class _SnapshotStream:
 
     The process runs ``_snapshot_writer.py`` under ``-I -S``, started by
     ``os.posix_spawn``, and :meth:`send`, the solver's ``on_snapshot``, hands
-    it each field over a pipe.  Its exit status is all it reports: 0 once it
-    has written every field it was sent, 1 at the first file it cannot write.
+    it each field over a pipe as its float64 bytes alone.  Its exit status
+    is all it reports: 0 once it has written every field it was sent, 1 at
+    the first file it cannot write.
     :meth:`finish` writes the trajectory in this process whenever no process
     exited 0, and so every snapshot of a stream that started none.
     :meth:`close` ends the process; a caller closes the stream on every
@@ -162,14 +162,13 @@ class _SnapshotStream:
 
     MAX_ROWS = 131_072
 
-    def __init__(self, outdir: Path, ctx: OperatorContext, config: SolverConfig):
+    def __init__(self, outdir: Path, grid: GridSpec, files: int):
         from . import _snapshot_writer
 
-        grid = ctx.grid
         self.module = _snapshot_writer
         self.args = (str(outdir), grid.dimension, grid.cells_per_axis, grid.period)
         self.pid = self.fd = self.exit_status = None
-        if self.pays(self.planned_files(ctx, config), grid.n_cells):
+        if self.pays(files, grid.n_cells):
             # No os.posix_spawn, no sys.executable or no process: finish writes every snapshot.
             with contextlib.suppress(AttributeError, OSError, TypeError):
                 self._spawn()
@@ -178,19 +177,6 @@ class _SnapshotStream:
     def pays(cls, files: int, cells: int) -> bool:
         """Whether a stream of ``files`` snapshots of ``cells`` cells starts a writer process."""
         return files * cells > cls.MAX_ROWS
-
-    @staticmethod
-    def planned_files(ctx: OperatorContext, config: SolverConfig) -> int:
-        """The snapshot files a run plans, ``1 + min(ceil(T / snapshot_every), ceil(T / dt))``.
-
-        A run records ``u0`` and at most one snapshot per step and per
-        interval, with dt and the interval of :func:`evolve._step_policy`.
-        A run of more than ``evolve.MAX_STEPS`` steps or intervals aborts
-        before its first snapshot, so the count stops there.
-        """
-        dt, snapshot_every = _step_policy(ctx, config)
-        T = config.end_time
-        return 1 + math.ceil(min(T / snapshot_every, T / dt, MAX_STEPS))
 
     def _spawn(self) -> None:
         data_r, data_w = os.pipe()
@@ -206,10 +192,10 @@ class _SnapshotStream:
             os.close(data_r)
         self.fd = data_w
 
-    def send(self, k: int, field: Field) -> None:
-        """Hand snapshot ``k`` to the process; :meth:`finish` writes it if the process does not."""
+    def send(self, field: Field) -> None:
+        """Hand the next snapshot to the process; :meth:`finish` writes it if the process does not."""
         if self.fd is not None:
-            data = memoryview(self.module.RECORD.pack(k, field.values.size) + field.values.tobytes())
+            data = memoryview(field.values.tobytes())
             try:
                 while data:
                     data = data[os.write(self.fd, data):]
@@ -355,7 +341,7 @@ def _report_checks(results) -> int:
 def cmd_run(args) -> int:
     cfg, outdir = _load_config(args)
     (ctx,), (u0,), sc = _prepare_run(cfg, cfg.profile)
-    with contextlib.closing(_SnapshotStream(outdir, ctx, sc)) as snapshots:
+    with contextlib.closing(_SnapshotStream(outdir, ctx.grid, _step_policy(ctx, sc)[2])) as snapshots:
         try:
             traj = run_solver(ctx, u0, sc, on_snapshot=snapshots.send)
         except SolverAbortError as exc:

@@ -435,23 +435,35 @@ def _anderson_correction(d_f: list, d_g: list, f: np.ndarray):
     return 0.0
 
 
-def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, float]:
-    """A run's ``(dt, snapshot_every)``; ``dt`` is ``config.dt``, or else the CFL limit ``max_dt``.
+def _step_policy(ctx: OperatorContext, config: SolverConfig) -> tuple[float, float, int]:
+    """A run's plan ``(dt, snapshot_every, snapshots)``; ``dt`` is ``config.dt``, or else the CFL limit ``max_dt``.
 
     The snapshot interval defaults to ``end_time / 10``, and ``max_dt`` takes it as its fallback; only
-    an explicit run or an unset dt computes ``max_dt``.  Unless ``config.cfl_override`` is set, an
-    explicit run whose first step, its longest, exceeds ``max_dt`` raises :class:`SolverAbortError`,
-    so that it records no snapshot.
+    an explicit run or an unset dt computes ``max_dt``.  ``snapshots = 1 + ceil(min(T / snapshot_every,
+    T / dt))`` counts ``u0`` and at most one snapshot per interval and per step.  Before any snapshot
+    is recorded the plan raises :class:`SolverAbortError` for an explicit run whose first step, its
+    longest, exceeds ``max_dt`` (unless ``config.cfl_override`` is set), and then for a run of more than
+    ``MAX_STEPS`` steps of its dt or snapshot intervals.
     """
-    snapshot_every = config.snapshot_every if config.snapshot_every is not None else config.end_time / 10.0
+    T = config.end_time
+    snapshot_every = config.snapshot_every if config.snapshot_every is not None else T / 10.0
     if config.dt is not None and config.integrator != "explicit_euler":
-        return config.dt, snapshot_every
-    max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
-    dt = config.dt if config.dt is not None else max_dt
-    longest = min(dt, config.end_time)
-    if not config.cfl_override and longest > max_dt * (1.0 + 1e-12):
-        raise SolverAbortError(f"dt = {longest:g} exceeds the CFL limit {max_dt:g}")
-    return dt, snapshot_every
+        dt = config.dt
+    else:
+        max_dt = cfl_dt(ctx, ctx.bound_R, config.cfl_theta, fallback=snapshot_every)
+        dt = config.dt if config.dt is not None else max_dt
+        longest = min(dt, T)
+        if not config.cfl_override and longest > max_dt * (1.0 + 1e-12):
+            raise SolverAbortError(f"dt = {longest:g} exceeds the CFL limit {max_dt:g}")
+    steps = T / dt
+    if steps > MAX_STEPS:
+        raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt:g}, "
+                               f"more than the budget of {MAX_STEPS:.0e}")
+    intervals = T / snapshot_every
+    if intervals > MAX_STEPS:   # each interval costs one addition to run's next_snap
+        raise SolverAbortError(f"the run asks for {intervals:.3g} snapshot intervals of {snapshot_every:g}, "
+                               f"more than the budget of {MAX_STEPS:.0e}")
+    return dt, snapshot_every, 1 + math.ceil(min(intervals, steps))
 
 
 def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None) -> Trajectory:
@@ -462,10 +474,9 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
     ``u0`` and the final time is always recorded.  The sup norm is guarded
     every step: growth beyond roundoff levels aborts the run with the
     partial trajectory attached, as does a non-finite kernel value or
-    update in an explicit step.  An explicit dt above the CFL limit (unless
-    ``cfl_override`` is set) and a run that needs more than ``MAX_STEPS``
-    steps of its dt, or snapshot intervals, raise :class:`SolverAbortError`
-    before the first snapshot.
+    update in an explicit step.  dt and the snapshot interval are those of
+    :func:`_step_policy`, which refuses a dt above the CFL limit and a run
+    over the ``MAX_STEPS`` budget before the first snapshot.
 
     Implicit steps whose fixed-point iteration diverges are retried with
     halved dt, up to 10 halvings deep, before giving up; dt grows back
@@ -476,21 +487,13 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
     current state.  ``picard_iters`` of each snapshot counts the fixed-point
     iterations of every step since the previous snapshot.
 
-    ``on_snapshot(k, field)``, when given, is called with the index and
-    field of each snapshot right after it is recorded, so a caller can
-    write snapshots while the run proceeds.
+    ``on_snapshot(field)``, when given, is called with the field of each
+    snapshot right after it is recorded, in order, so a caller can write
+    snapshots while the run proceeds.
     """
     T = config.end_time
     explicit = config.integrator == "explicit_euler"
-    dt_base, snapshot_every = _step_policy(ctx, config)
-    steps = T / dt_base
-    if steps > MAX_STEPS:
-        raise SolverAbortError(f"the run needs {steps:.3g} steps of dt = {dt_base:g}, "
-                               f"more than the budget of {MAX_STEPS:.0e}")
-    intervals = T / snapshot_every
-    if intervals > MAX_STEPS:   # each interval costs one addition to next_snap below
-        raise SolverAbortError(f"the run asks for {intervals:.3g} snapshot intervals of {snapshot_every:g}, "
-                               f"more than the budget of {MAX_STEPS:.0e}")
+    dt_base, snapshot_every, _ = _step_policy(ctx, config)
 
     traj = Trajectory(grid=ctx.grid)
     sup0 = float(np.max(np.abs(u0.values)))
@@ -501,7 +504,7 @@ def run(ctx: OperatorContext, u0: Field, config: SolverConfig, on_snapshot=None)
         traj.fields.append(u_field)
         traj.records.append(rec)
         if on_snapshot is not None:
-            on_snapshot(len(traj.fields) - 1, u_field)
+            on_snapshot(u_field)
 
     emit(0.0, u0, 0)
     u = u0
@@ -608,9 +611,9 @@ def continuation_in_epsilon(contexts: list[OperatorContext], u0: Field, config: 
     ``d_k = max_t ||u^{eps_k}(t) - u^{eps_k+1}(t)||_1`` over the snapshot
     times (:func:`diagnostics.l1_distances`).  All runs use one dt, the
     configured one or else the smallest of their step policies' CFL limits,
-    and so share their snapshot times; a dt that needs more than
-    ``MAX_STEPS`` steps raises :class:`SolverAbortError` before any run
-    steps.
+    and so share their snapshot times.  A plan over the ``MAX_STEPS`` budget
+    raises :class:`SolverAbortError` before any run steps; without a
+    configured dt, the first context over it refuses with its own dt.
     """
     if config.dt is None:
         config = replace(config, dt=min(_step_policy(ctx, config)[0] for ctx in contexts))

@@ -29,7 +29,7 @@ from jumpdiff.config import (
     solver_config,
 )
 from jumpdiff.diagnostics import check_monotone_series
-from jumpdiff.evolve import INTEGRATORS, cfl_dt, continuation_in_epsilon, mollify_initial
+from jumpdiff.evolve import INTEGRATORS, _step_policy, cfl_dt, continuation_in_epsilon, mollify_initial
 from jumpdiff.kernels import regular_bound_M, regularize
 from jumpdiff.lattice import Field, Profile, make_grid, sample_profile
 from jumpdiff.operator import build_context
@@ -162,7 +162,7 @@ def no_process(*args, **kwargs):
 
 
 def no_spawn(*args, **kwargs):
-    pytest.fail("a run whose planned stream is short started a writer process")
+    pytest.fail("a run started a writer process where its plan starts none")
 
 
 def through_the_writer(monkeypatch):
@@ -240,20 +240,26 @@ def test_a_writer_process_pays_only_above_the_row_threshold(files, cells, pays):
 
 
 SHORT_RUN = IMPLICIT.replace("solver.t = 0.02\nsolver.snapshot_every = 0.005\n", "")
+ZERO_RUN = "grid.n = 1\ngrid.m = 32\ngrid.l = 1.0\nkernel.family = zero\nprofile.kind = box\n"
 
 
-@pytest.mark.parametrize("solver", [
-    "solver.t = 0.02\nsolver.snapshot_every = 0.005\n",                   # IMPLICIT: one interval a snapshot
-    "solver.t = 0.02\nsolver.snapshot_every = 0.0025\nsolver.dt = 0.004\n",   # one step a snapshot
-    "solver.t = 0.02\nsolver.snapshot_every = 0.003\nsolver.dt = 0.0007\n",   # intervals no multiple of dt
-    "solver.t = 0.1\nsolver.snapshot_every = 1e-6\nsolver.integrator = explicit_euler\n",   # CFL steps
+@pytest.mark.parametrize("text", [
+    SHORT_RUN + "solver.t = 0.02\nsolver.snapshot_every = 0.005\n",                   # IMPLICIT: one interval a snapshot
+    SHORT_RUN + "solver.t = 0.02\nsolver.snapshot_every = 0.0025\nsolver.dt = 0.004\n",   # one step a snapshot
+    SHORT_RUN + "solver.t = 0.02\nsolver.snapshot_every = 0.003\nsolver.dt = 0.0007\n",   # intervals no multiple of dt
+    SHORT_RUN + "solver.t = 0.1\nsolver.snapshot_every = 1e-6\nsolver.integrator = explicit_euler\n",   # CFL steps
+    # The zero kernel has no CFL limit: dt falls back to the interval.
+    ZERO_RUN + "solver.t = 0.02\nsolver.snapshot_every = 0.003\nsolver.integrator = explicit_euler\n",
+    ZERO_RUN + "solver.t = 0.02\nsolver.snapshot_every = 0.003\n",
+    SHORT_RUN.replace("grid.n = 1\ngrid.m = 32", "grid.n = 2\ngrid.m = 8")
+    + "solver.t = 0.02\nsolver.snapshot_every = 0.003\nsolver.dt = 0.0035\n",   # 2-d, one step a snapshot
 ])
-def test_the_planned_stream_is_the_files_the_run_writes(tmp_path, solver):
-    cfg = parse_config(SHORT_RUN + solver)
+def test_the_planned_stream_is_the_files_the_run_writes(tmp_path, text):
+    cfg = parse_config(text)
     (ctx,), _, sc = cli._prepare_run(cfg, cfg.profile)
-    assert run_cli(tmp_path, SHORT_RUN + solver) == EXIT_OK
+    assert run_cli(tmp_path, text) == EXIT_OK
     written = [p for p in (tmp_path / "out").iterdir() if p.name.startswith("snapshot_")]
-    assert cli._SnapshotStream.planned_files(ctx, sc) == len(written)
+    assert _step_policy(ctx, sc)[2] == len(written)
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
@@ -583,8 +589,7 @@ def reference_snapshot(field):
 
 def writer_process(outdir, grid, fields, *args):
     """The writer process run under ``-I -S``, after the interpreter arguments ``args``, on ``fields``."""
-    records = b"".join(_snapshot_writer.RECORD.pack(k, f.values.size) + f.values.tobytes()
-                       for k, f in enumerate(fields))
+    records = b"".join(f.values.tobytes() for f in fields)
     return subprocess.run([sys.executable, "-I", "-S", *args, _snapshot_writer.__file__, str(outdir),
                            str(grid.dimension), str(grid.cells_per_axis), repr(grid.period)],
                           input=records, capture_output=True, timeout=60)
@@ -873,15 +878,19 @@ def test_values_beyond_the_float_range_abort_in_one_line(tmp_path, changes):
     assert one_line(proc.stderr).startswith("solver aborted: ")
 
 
-@pytest.mark.parametrize("command", ["run", "converge"])
-def test_a_run_beyond_the_step_budget_aborts_in_one_line(tmp_path, command):
-    # M_R is finite at R = 1e200, but its dt = 5.2e-203 would take ~2e200 steps.
+@pytest.mark.parametrize("command, needs", [
+    pytest.param("run", "1.91e+200 steps of dt = 5.23", id="run"),
+    pytest.param("converge", "5.13e+199 steps of dt = 1.95118e-202, more than the budget of 1e+07", id="converge"),
+])
+def test_a_run_beyond_the_step_budget_aborts_in_one_line(tmp_path, command, needs):
+    # M_R is finite at R = 1e200, but its dt = 5.2e-203 would take ~2e200 steps.  converge refuses
+    # at the plan of its first radius, the coarsest, with that radius's own dt.
     text = config_text(SMALL_WITHOUT_M, {"kernel.family": "p_laplacian", "kernel.p": "3", "solver.t": "0.01",
                                "solver.r": "1e200"})
     proc = run_module(tmp_path, text, command, timeout=60)
     assert proc.returncode == EXIT_SOLVER
     line = one_line(proc.stderr)
-    assert line.startswith("solver aborted: the run needs 1.91e+200 steps of dt = 5.23")
+    assert line.startswith(f"solver aborted: the run needs {needs}")
     assert "budget" in line
 
 
@@ -900,6 +909,25 @@ def test_snapshot_intervals_beyond_the_step_budget_abort_in_one_line(tmp_path, c
         f"solver aborted: the run asks for {0.01 / float(every):.3g} snapshot intervals of {float(every):g}, "
         "more than the budget of 1e+07")
     assert list((tmp_path / "module_out").iterdir()) == []
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+@pytest.mark.parametrize("solver, refusal", [
+    pytest.param("solver.dt = 1e-12\n", "the run needs 1e+10 steps of dt = 1e-12", id="steps"),
+    pytest.param("solver.snapshot_every = 1e-12\n", "the run asks for 1e+10 snapshot intervals of 1e-12",
+                 id="intervals"),
+    pytest.param("solver.dt = 1e-12\nsolver.snapshot_every = 1e-12\n", "the run needs 1e+10 steps of dt = 1e-12",
+                 id="both"),
+])
+def test_a_refused_run_starts_no_process_and_writes_no_file(tmp_path, capsys, monkeypatch, integrator, solver,
+                                                            refusal):
+    """The plan refuses the run before the snapshot stream starts: no writer process, however long the stream."""
+    monkeypatch.setattr(os, "posix_spawn", no_spawn)
+    text = SNAPSHOT_BUDGET.replace("explicit_euler", integrator) + solver
+    assert run_cli(tmp_path, text) == EXIT_SOLVER
+    assert one_line(capsys.readouterr().err) == f"solver aborted: {refusal}, more than the budget of 1e+07"
+    assert list((tmp_path / "out").iterdir()) == []
+    assert_no_child_process()
 
 
 def test_negative_seed_override_exits_config_in_one_line(tmp_path, capsys):

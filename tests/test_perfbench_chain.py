@@ -102,7 +102,7 @@ def test_only_the_long_snapshot_stream_starts_a_writer_process(name, files, writ
     """The full ``heat1d_snapshots`` run plans 625 snapshots of 256 cells; the other two write theirs in-process."""
     cfg = cli.parse_config(workloads.WORKLOADS[name].config_text("full", 1))
     (ctx,), _, sc = cli._prepare_run(cfg, cfg.profile)
-    assert cli._SnapshotStream.planned_files(ctx, sc) == files
+    assert evolve._step_policy(ctx, sc)[2] == files
     assert cli._SnapshotStream.pays(files, cfg.grid.n_cells) is writer
 
 

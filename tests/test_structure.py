@@ -1,7 +1,8 @@
 """The structural properties of the discrete flow, on drawn kernels, grids, integrators and data.
 
 Each example draws a kernel (one of the six families, porous medium with a
-table ``f``, or a cone combination of two of these), a small 1-d or 2-d
+table ``f``, or a cone combination of two of these) with its parameters
+(``m``, ``p`` and ``alpha`` where the family reads them), a small 1-d or 2-d
 grid, an integrator and its dt, and three initial fields: ``u``, a second
 field ``v`` (independent random data, or ``u`` changed by a little on a few
 cells) and their pointwise maximum.  As ``jumpdiff run`` and ``compare`` do,
@@ -24,13 +25,15 @@ the checks between runs (contraction, comparison, Kato) step every field
 on one grid (:func:`advance`).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpdiff.cli import _monotone_checks
-from jumpdiff.config import KernelConfig, RunConfig, build_kernel
+from jumpdiff.config import _KEY_READERS, KernelConfig, RunConfig, build_kernel
 from jumpdiff.diagnostics import check_comparison, check_contraction
 from jumpdiff.evolve import (
     SUP_NORM_SLACK,
@@ -59,8 +62,18 @@ CFL = SolverConfig().cfl_theta
 INTEGRATORS = [("explicit_euler", CFL), ("backward_euler_picard", CFL), ("backward_euler_picard", 8.0)]
 
 
-def kernel(grid, name):
-    return build_kernel(RunConfig(grid=grid, kernel=KERNELS[name]))
+def kernel(draw, grid, name):
+    """The kernel ``name`` of ``KERNELS`` with its parameters drawn: ``m`` in [1.5, 3] for a power ``f``,
+    ``p`` in [2, 4] and ``alpha`` in [0.2, 0.8] where the family reads them."""
+    kc = KERNELS[name]
+    drawn = {}
+    if kc.family != "variable_order":
+        drawn["alpha"] = draw(st.floats(0.2, 0.8))
+    if kc.family in _KEY_READERS["m"] and kc.f != "table":
+        drawn["m"] = draw(st.floats(1.5, 3.0))
+    if kc.family in _KEY_READERS["p"]:
+        drawn["p"] = draw(st.floats(2.0, 4.0))
+    return build_kernel(RunConfig(grid=grid, kernel=replace(kc, **drawn)))
 
 
 @st.composite
@@ -70,10 +83,10 @@ def cases(draw, family):
     grid = make_grid(1, draw(st.integers(16, 32)), 1.0) if dim == 1 else make_grid(2, draw(st.integers(6, 8)), 1.0)
     if family == "cone":
         names = st.sampled_from(sorted(KERNELS))
-        k = cone_combine(draw(st.floats(0.1, 1.0)), kernel(grid, draw(names)),
-                         draw(st.floats(0.1, 1.0)), kernel(grid, draw(names)))
+        k = cone_combine(draw(st.floats(0.1, 1.0)), kernel(draw, grid, draw(names)),
+                         draw(st.floats(0.1, 1.0)), kernel(draw, grid, draw(names)))
     else:
-        k = kernel(grid, family)
+        k = kernel(draw, grid, family)
     integrator, dt_factor = draw(st.sampled_from(INTEGRATORS))
 
     # Amplitudes from a tenth of the cutoff radius eps = h, where most pairs lie on the
@@ -141,7 +154,7 @@ def shared_trajectories(ctx, config, fields):
     return [Trajectory(ctx.grid, times=times, fields=list(series)) for series in zip(*snapshots)]
 
 
-# 8 examples a family, 64 in all: about 6 s on a 2-core Xeon.
+# 8 examples a family, 64 in all: about 4.5 s on a 2-core Xeon.
 @pytest.mark.parametrize("family", [*KERNELS, "cone"])
 @settings(max_examples=8)
 @given(data=st.data())
